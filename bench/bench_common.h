@@ -17,10 +17,11 @@
 namespace presto::bench {
 
 // --quick shrinks every workload for smoke runs (used by ctest); --scale=N
-// divides the paper's problem sizes by N. --backend=fiber|thread|parallel
-// and --workers=N pick the engine driving the simulation (equivalent to
+// divides the paper's problem sizes by N. --backend=fiber|parallel and
+// --workers=N pick the engine driving the simulation (equivalent to
 // PRESTO_BACKEND/PRESTO_WORKERS; simulated results are bit-identical across
-// backends — docs/performance.md §9 — only host speed differs).
+// backends — docs/performance.md §9 — only host speed differs). Unknown
+// backend names abort with the list of valid ones.
 struct Scale {
   std::int64_t divide = 1;
   int nodes = 32;
@@ -34,17 +35,11 @@ struct Scale {
     if (s.divide < 1) s.divide = 1;
     s.nodes = static_cast<int>(cli.get_int("nodes", 32));
     const std::string b = cli.get("backend", "");
-    if (b == "fiber") {
-      s.backend = sim::Backend::kFiber;
-    } else if (b == "thread") {
-      s.backend = sim::Backend::kThread;
-    } else if (b == "parallel") {
-      s.backend = sim::Backend::kParallel;
-    } else {
-      PRESTO_CHECK(b.empty(),
-                   "--backend: expected fiber, thread or parallel, got '"
-                       << b << "'");
-    }
+    if (!b.empty())
+      PRESTO_CHECK(sim::backend_from_name(b, &s.backend),
+                   "--backend: unknown backend '"
+                       << b << "' (expected one of: " << sim::backend_names()
+                       << ")");
     s.workers = static_cast<int>(cli.get_int("workers", 0));
     return s;
   }

@@ -18,12 +18,9 @@ Engine::Engine(Backend backend)
 }
 
 Engine::~Engine() {
-  // Join every processor thread before destroying any processor or engine
-  // sync member. A finishing thread-backend processor may still be inside
-  // the notify of grant_control() (another processor's condvar) or
-  // lane_sched_signal()/signal_done() (this engine's condvars) after the
-  // woken side has already moved on, so the condvars must outlive all
-  // threads, not just their own processor's.
+  // Kill every suspended fiber before destroying any processor: an unwinding
+  // body may still touch other processors or engine state (its captures'
+  // destructors), so all of them must be alive while any fiber unwinds.
   for (auto& p : processors_) p->teardown();
   processors_.clear();
 }
@@ -149,16 +146,11 @@ Processor* Engine::step_one(Lane& l) {
 
 void Engine::transfer(Processor* self, Processor* to) {
   ++lane0_->handoffs;
-  if (backend_ != Backend::kThread) {
-    FiberContext& from = self != nullptr ? self->fiber_->context() : main_ctx_;
-    fiber_switch(from, to->fiber_->context());
-    // Control came back: either our own resume event popped in some other
-    // context's drive, or (run()'s caller) the queue drained.
-    if (self != nullptr) self->fiber_resumed();  // throws Killed on teardown
-    return;
-  }
-  to->grant_control();
-  if (self != nullptr) self->park();  // until our own resume grants back
+  FiberContext& from = self != nullptr ? self->fiber_->context() : main_ctx_;
+  fiber_switch(from, to->fiber_->context());
+  // Control came back: either our own resume event popped in some other
+  // context's drive, or (run()'s caller) the queue drained.
+  if (self != nullptr) self->fiber_resumed();  // throws Killed on teardown
 }
 
 bool Engine::drive(Processor* self) {
@@ -170,7 +162,7 @@ bool Engine::drive(Processor* self) {
       // either another processor still runs app code elsewhere (it will
       // never hand back — deadlock) or everything finished. Let run()'s
       // caller make the call; this context stays parked (teardown kills it).
-      signal_done();
+      done_ = true;
       self->park_forever();
       continue;
     }
@@ -185,26 +177,11 @@ bool Engine::drive(Processor* self) {
   }
 }
 
-void Engine::drive_exit() {
-  Lane& l = *lane0_;
-  for (;;) {
-    if (l.heap.empty()) {
-      signal_done();
-      return;
-    }
-    Processor* to = step_one(l);
-    if (to == nullptr) continue;
-    ++l.handoffs;
-    to->grant_control();
-    return;
-  }
-}
-
 FiberContext* Engine::drive_exit_target() {
   Lane& l = *lane0_;
   for (;;) {
     if (l.heap.empty()) {
-      signal_done();
+      done_ = true;
       return &main_ctx_;
     }
     Processor* to = step_one(l);
@@ -214,40 +191,12 @@ FiberContext* Engine::drive_exit_target() {
   }
 }
 
-void Engine::signal_done() {
-  if (backend_ != Backend::kThread) {
-    // Single OS thread: run()'s caller observes the flag as soon as control
-    // switches back to it; no synchronization needed.
-    done_ = true;
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(done_mutex_);
-    done_ = true;
-  }
-  done_cv_.notify_all();
-}
-
-void Engine::lane_sched_wait() {
-  std::unique_lock<std::mutex> lock(sched_mutex_);
-  sched_cv_.wait(lock, [&] { return sched_token_; });
-  sched_token_ = false;
-}
-
-void Engine::lane_sched_signal() {
-  {
-    std::lock_guard<std::mutex> lock(sched_mutex_);
-    sched_token_ = true;
-  }
-  sched_cv_.notify_one();
-}
-
 void Engine::drain_lane(int lane_id) {
   Lane& l = lane(lane_id);
   // Under a worker pool a lane may be drained by a different thread each
   // window (adoption); the saved drain-loop context must be re-bound to the
   // thread actually draining (TSan fiber-handle refresh; no-op otherwise).
-  if (backend_ != Backend::kThread) bind_host_context(l.sched_ctx);
+  bind_host_context(l.sched_ctx);
   const int prev_lane = tls_lane_;
   const Engine* prev_engine = tls_engine_;
   tls_lane_ = lane_id;
@@ -258,12 +207,7 @@ void Engine::drain_lane(int lane_id) {
     // Hand control to the resumed processor's context; it runs app code on
     // this worker until it parks back into the lane's drain loop.
     ++l.handoffs;
-    if (backend_ == Backend::kThread) {
-      to->grant_control();
-      lane_sched_wait();
-    } else {
-      fiber_switch(l.sched_ctx, to->fiber_->context());
-    }
+    fiber_switch(l.sched_ctx, to->fiber_->context());
   }
   tls_lane_ = prev_lane;
   tls_engine_ = prev_engine;
@@ -352,16 +296,10 @@ void Engine::run() {
     run_windowed();
   } else {
     done_ = false;  // no application context is running between runs
-    if (!drive(nullptr)) {
-      if (backend_ != Backend::kThread) {
-        // The handoff in drive() only returns once a fiber signalled the
-        // drain and switched back to this context.
-        PRESTO_CHECK(done_, "fiber engine resumed run() before drain");
-      } else {
-        std::unique_lock<std::mutex> lock(done_mutex_);
-        done_cv_.wait(lock, [&] { return done_; });
-      }
-    }
+    // The handoff in drive() only returns once a fiber flagged the drain and
+    // switched back to this context.
+    if (!drive(nullptr))
+      PRESTO_CHECK(done_, "engine resumed run() before drain");
   }
   for (const auto& p : processors_) {
     PRESTO_CHECK(!p->started() || p->finished() || !p->parked_in_block(),

@@ -1,17 +1,13 @@
 // Deterministic discrete-event engine.
 //
 // Events execute in strict (time, insertion sequence) order. Simulated
-// processors (sim/processor.h) run application code on their own execution
-// contexts — user-level fibers by default, OS threads on the fallback
-// backend — but exactly one context runs at any moment, so execution is
+// processors (sim/processor.h) run application code on their own user-level
+// fibers, but exactly one context runs at any moment, so execution is
 // sequentially deterministic and needs no other synchronization. The event
 // loop itself has no dedicated context: run() drives it on the caller until
-// an event resumes a processor, after which whichever application context
-// yields drives it inline (see processor.h for the run-token protocol). On
-// the fiber backend the whole engine lives on one OS thread and a handoff is
-// a user-level stack switch; on the thread backend run() parks on a condvar
-// until the queue drains. Both backends execute the identical event
-// sequence, so simulated results are bit-identical.
+// an event resumes a processor, after which whichever fiber yields drives it
+// inline (see processor.h for the run-token protocol). The whole engine
+// lives on one OS thread and a handoff is a user-level stack switch.
 //
 // The queue is built for host throughput: closures live in a slab of
 // fixed-size slots recycled through a freelist (no per-event heap
@@ -39,11 +35,9 @@
 // before, preserving every legacy golden number.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "sim/fiber.h"
@@ -143,8 +137,8 @@ class Engine {
   // window width `window` (>= 1; must not exceed the network's minimum
   // cross-node latency or staged deliveries could land in a lane's past).
   // With backend kParallel, `workers` persistent worker threads drain the
-  // lanes concurrently (clamped to [1, lanes]); other backends drain
-  // serially and ignore `workers`. `max_batch` caps a worker's spin-acquired
+  // lanes concurrently (clamped to [1, lanes]); kFiber drains serially and
+  // ignores `workers`. `max_batch` caps a worker's spin-acquired
   // consecutive-window streak (0 = unbounded; host-only knob, see
   // sim/parallel.h — simulated results are invariant to it). Must be called
   // before any processor or event exists.
@@ -200,12 +194,11 @@ class Engine {
   // Statistics (host-side observability; never part of simulated results).
   std::uint64_t events_executed() const;
   // Cross-context control transfers: run token handed to a different
-  // processor (a stack switch on the fiber backend, a futex wake + park on
-  // the thread backend).
+  // processor's fiber (one stack switch each).
   std::uint64_t handoffs() const;
   // Resume events that popped while their own processor was driving — the
-  // fast path costing zero context switches on either backend. Always zero
-  // in windowed mode (the drain loop is the only driver).
+  // fast path costing zero stack switches. Always zero in windowed mode (the
+  // drain loop is the only driver).
   std::uint64_t direct_resumes() const;
   // Windows executed (windowed mode only).
   std::uint64_t windows_run() const { return windows_run_; }
@@ -220,7 +213,7 @@ class Engine {
   // Per-fiber stack size for processors created after this call (tests use
   // tiny stacks to exercise overflow detection). Defaults to
   // Fiber::default_stack_size(), i.e. the PRESTO_STACK_SIZE environment
-  // variable. No effect on the thread backend.
+  // variable.
   void set_fiber_stack_size(std::size_t bytes) { fiber_stack_size_ = bytes; }
   std::size_t fiber_stack_size() const { return fiber_stack_size_; }
 
@@ -292,29 +285,17 @@ class Engine {
   // token to an application context; returns true iff this call drained the
   // queue.
   bool drive(Processor* self);
-  // Hands the run token from `self` (null = run()'s caller) to `to`. Fiber
-  // backend: a direct stack switch that returns when control comes back.
-  // Thread backend: wake the target, then park (or, for run()'s caller,
-  // return and wait on the drain condvar).
+  // Hands the run token from `self` (null = run()'s caller) to `to`: a
+  // direct stack switch that returns when control comes back.
   void transfer(Processor* self, Processor* to);
-  // Thread backend: drives on a thread whose processor body just finished —
-  // hands the token onward or, if the queue drained, signals run(); then
-  // returns so the thread can exit.
-  void drive_exit();
-  // Fiber backend equivalent: returns the context the finished fiber must
-  // terminally switch to (the next resumed processor, or run()'s caller
-  // after signalling the drain).
+  // Drives on a fiber whose processor body just finished: returns the
+  // context it must terminally switch to (the next resumed processor, or
+  // run()'s caller after flagging the drain).
   FiberContext* drive_exit_target();
-  void signal_done();
 
   // Windowed run loop: watermark, caps, drain (serial or pooled), boundary.
   void run_windowed();
   void run_boundary();
-  // Windowed, thread backend: the drain loop parks here while a processor
-  // thread runs app code; the processor hands control back via
-  // lane_sched_signal.
-  void lane_sched_wait();
-  void lane_sched_signal();
 
   const Backend backend_;
   std::vector<std::unique_ptr<Lane>> lanes_;
@@ -338,19 +319,11 @@ class Engine {
   std::size_t fiber_stack_size_;
   trace::Hooks* trace_hooks_ = nullptr;
 
-  // Fiber backend: the saved context of run()'s caller while application
-  // fibers drive the event loop (legacy mode only).
+  // Legacy mode: the saved context of run()'s caller while application
+  // fibers drive the event loop, and the flag a fiber sets before switching
+  // back to it once the queue drained.
   FiberContext main_ctx_;
-
-  // Thread backend: run() parks here while application threads drive
-  // (legacy), and the windowed drain loop parks here while a processor
-  // thread runs app code.
-  std::mutex done_mutex_;
-  std::condition_variable done_cv_;
   bool done_ = false;
-  std::mutex sched_mutex_;
-  std::condition_variable sched_cv_;
-  bool sched_token_ = false;
 
   friend class EngineTestPeer;
 };

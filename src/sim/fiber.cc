@@ -105,20 +105,14 @@ void ucontext_trampoline(unsigned hi, unsigned lo) {
 
 Backend default_backend() {
   static const Backend b = [] {
+    Backend parsed = Backend::kFiber;
     const char* v = std::getenv("PRESTO_BACKEND");
-    if (v != nullptr && v[0] != '\0') {
-      if (std::strcmp(v, "fiber") == 0) return Backend::kFiber;
-      if (std::strcmp(v, "thread") == 0) return Backend::kThread;
-      if (std::strcmp(v, "parallel") == 0) return Backend::kParallel;
-      PRESTO_FAIL("PRESTO_BACKEND must be 'fiber', 'thread' or 'parallel', "
-                  "got '"
-                  << v << "'");
-    }
-#if defined(PRESTO_FIBERS_DEFAULT_THREAD)
-    return Backend::kThread;
-#else
-    return Backend::kFiber;
-#endif
+    if (v != nullptr && v[0] != '\0')
+      PRESTO_CHECK(backend_from_name(v, &parsed),
+                   "PRESTO_BACKEND: unknown backend '"
+                       << v << "' (expected one of: " << backend_names()
+                       << ")");
+    return parsed;
   }();
   return b;
 }
@@ -126,10 +120,28 @@ Backend default_backend() {
 const char* backend_name(Backend b) {
   switch (b) {
     case Backend::kFiber: return "fiber";
-    case Backend::kThread: return "thread";
     case Backend::kParallel: return "parallel";
   }
   return "unknown";
+}
+
+bool backend_from_name(std::string_view name, Backend* out) {
+  for (const Backend b : kAllBackends) {
+    if (name == backend_name(b)) {
+      *out = b;
+      return true;
+    }
+  }
+  return false;
+}
+
+std::string backend_names() {
+  std::string names;
+  for (const Backend b : kAllBackends) {
+    if (!names.empty()) names += ", ";
+    names += backend_name(b);
+  }
+  return names;
 }
 
 std::size_t Fiber::default_stack_size() {

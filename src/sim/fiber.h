@@ -1,12 +1,9 @@
 // User-level fibers: heap-allocated stacks with a fast in-thread context
-// switch, the mechanism behind the simulator's default processor backend.
+// switch, the mechanism every simulated processor runs on.
 //
-// A cross-processor handoff on the thread backend costs a mutex + condvar
-// round trip (two futex syscalls and a kernel context switch). A fiber
-// handoff is a direct stack switch — save callee-saved registers, swap stack
-// pointers, restore — at tens of nanoseconds, with every simulated result
-// bit-identical because only the transfer mechanism changes, never the event
-// order. On x86-64 and aarch64 the switch is hand-rolled assembly
+// A handoff between simulated processors is a direct stack switch — save
+// callee-saved registers, swap stack pointers, restore — at tens of
+// nanoseconds. On x86-64 and aarch64 the switch is hand-rolled assembly
 // (sim/fiber_swap.S, fcontext-style); other architectures (or
 // -DPRESTO_FIBER_FORCE_UCONTEXT builds) fall back to portable ucontext.h
 // swapcontext, which is slower (it saves the signal mask via a syscall) but
@@ -27,6 +24,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <string_view>
 
 #if defined(PRESTO_FIBER_FORCE_UCONTEXT) || \
     !(defined(__x86_64__) || defined(__aarch64__))
@@ -38,23 +37,25 @@
 
 namespace presto::sim {
 
-// Which processor implementation an Engine uses. All produce bit-identical
-// simulated results for a given engine mode (tests/backend_equivalence_test.cc,
-// tests/parallel_equivalence_test.cc); fibers are the default because
-// handoffs are ~two orders of magnitude cheaper than thread wakes.
+// How an Engine drives its processors' fibers. Both produce bit-identical
+// simulated results for a given engine mode
+// (tests/parallel_equivalence_test.cc).
 enum class Backend {
-  kFiber,     // user-level stack switches, one OS thread per Engine
-  kThread,    // one OS thread per processor, mutex/condvar run token
+  kFiber,     // every fiber on one OS thread per Engine
   kParallel,  // fibers sharded over a worker pool, windowed engine required
 };
 
-// Build-default backend (PRESTO_FIBERS CMake option), overridable at runtime
-// with PRESTO_BACKEND=fiber|thread|parallel.
+// Every backend, in the order error messages list their names.
+inline constexpr Backend kAllBackends[] = {Backend::kFiber,
+                                           Backend::kParallel};
+
+// kFiber, overridable at runtime with PRESTO_BACKEND=fiber|parallel.
 Backend default_backend();
 const char* backend_name(Backend b);
-
-// Backends whose processors run on user-level fiber stacks.
-inline bool is_fiber_backend(Backend b) { return b != Backend::kThread; }
+// Parses a name as printed by backend_name; false on unknown names.
+bool backend_from_name(std::string_view name, Backend* out);
+// "fiber, parallel": every accepted name, for error messages.
+std::string backend_names();
 
 // A suspendable execution context: the saved stack pointer of a fiber or of
 // a regular OS-thread stack (the engine driver, or a destructor performing a

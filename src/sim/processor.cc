@@ -12,30 +12,17 @@ Processor::Processor(Engine& engine, int id)
 Processor::~Processor() { teardown(); }
 
 void Processor::teardown() {
-  if (fiber_ != nullptr) {
-    if (!finished_) {
-      // Suspended mid-run (or never granted): switch in with the kill flag
-      // set; the fiber unwinds via Killed and terminally switches back here.
-      kill_ = true;
-      FiberContext killer;
-      kill_exit_ = &killer;
-      fiber_switch(killer, fiber_->context());
-      PRESTO_CHECK(finished_, "killed fiber did not unwind");
-    }
-    fiber_.reset();
-    return;
-  }
-  if (!thread_.joinable()) return;  // never started
+  if (fiber_ == nullptr) return;  // never started
   if (!finished_) {
-    // Parked mid-run (engine torn down early): unwind via Killed.
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      kill_ = true;
-      go_token_ = true;
-    }
-    cv_.notify_all();
+    // Suspended mid-run (or never granted): switch in with the kill flag
+    // set; the fiber unwinds via Killed and terminally switches back here.
+    kill_ = true;
+    FiberContext killer;
+    kill_exit_ = &killer;
+    fiber_switch(killer, fiber_->context());
+    PRESTO_CHECK(finished_, "killed fiber did not unwind");
   }
-  thread_.join();
+  fiber_.reset();
 }
 
 void Processor::start(std::function<void()> body, Time start_time) {
@@ -43,22 +30,19 @@ void Processor::start(std::function<void()> body, Time start_time) {
   started_ = true;
   clock_ = start_time;
   body_ = std::move(body);
-  if (is_fiber_backend(engine_.backend())) {
-    fiber_ = std::make_unique<Fiber>(&Processor::fiber_entry, this,
-                                     engine_.fiber_stack_size());
-  } else {
-    thread_ = std::thread(&Processor::thread_main, this);
-  }
+  fiber_ = std::make_unique<Fiber>(&Processor::fiber_entry, this,
+                                   engine_.fiber_stack_size());
   engine_.schedule_on(lane_, start_time, [this] { mark_resume(); });
 }
 
 bool Processor::run_body() {
   bool killed = false;
   try {
-    // Scope the body so its captures are destroyed before the exit handoff
-    // on either backend.
+    // Scope the body so its captures are destroyed before the exit handoff.
     std::function<void()> body = std::move(body_);
-    park();  // initial grant, delivered by the start-time resume event
+    // A fiber only executes after control was switched to it, so the first
+    // switch-in is the start-time resume event or a teardown kill.
+    if (kill_) throw Killed{};
     body();
   } catch (const Killed&) {
     // Torn down mid-run (engine destroyed before completion); unwind quietly.
@@ -66,24 +50,6 @@ bool Processor::run_body() {
   }
   finished_ = true;
   return killed;
-}
-
-void Processor::thread_main() {
-  if (engine_.windowed()) {
-    // App code on this thread must resolve engine calls (now, horizon,
-    // schedule_at) against its own lane.
-    Engine::tls_lane_ = lane_;
-    Engine::tls_engine_ = &engine_;
-    const bool killed = run_body();
-    // The drain loop granted us the token; hand it back so it can keep
-    // draining (unless we are being torn down, in which case it is not
-    // waiting).
-    if (!killed) engine_.lane_sched_signal();
-    return;
-  }
-  // The body ran to completion while this thread held the run token: keep
-  // driving the event loop until control passes elsewhere, then exit.
-  if (!run_body()) engine_.drive_exit();
 }
 
 FiberContext* Processor::fiber_entry(void* self_void) {
@@ -106,27 +72,6 @@ void Processor::mark_resume() {
   engine_.lane(lane_).transfer_to = this;
 }
 
-void Processor::grant_control() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    go_token_ = true;
-  }
-  cv_.notify_one();
-}
-
-void Processor::park() {
-  if (is_fiber_backend(engine_.backend())) {
-    // A fiber only executes after control was switched to it, so the grant
-    // already happened; only a teardown kill needs handling.
-    if (kill_) throw Killed{};
-    return;
-  }
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] { return go_token_; });
-  go_token_ = false;
-  if (kill_) throw Killed{};
-}
-
 void Processor::fiber_resumed() {
   PRESTO_CHECK(fiber_->canary_intact(),
                "fiber stack overflow on processor "
@@ -136,22 +81,14 @@ void Processor::fiber_resumed() {
 }
 
 void Processor::park_to_scheduler() {
-  if (engine_.backend() == Backend::kThread) {
-    engine_.lane_sched_signal();
-    park();  // until the drain loop delivers our resume (throws on kill)
-    return;
-  }
   fiber_switch(fiber_->context(), engine_.lane(lane_).sched_ctx);
   fiber_resumed();  // throws Killed on teardown
 }
 
 void Processor::park_forever() {
-  if (is_fiber_backend(engine_.backend())) {
-    fiber_switch(fiber_->context(), engine_.main_ctx_);
-    fiber_resumed();  // teardown kill: throws
-    PRESTO_FAIL("processor " << id_ << " resumed after queue drain");
-  }
-  park();
+  fiber_switch(fiber_->context(), engine_.main_ctx_);
+  fiber_resumed();  // teardown kill: throws
+  PRESTO_FAIL("processor " << id_ << " resumed after queue drain");
 }
 
 void Processor::wake(Time t) {

@@ -1,6 +1,5 @@
-// A simulated processor running application code on its own execution
-// context: a user-level fiber by default, or a dedicated OS thread on the
-// fallback backend (sim/fiber.h::Backend, chosen per Engine).
+// A simulated processor running application code on its own user-level
+// fiber (sim/fiber.h).
 //
 // Exactly one context executes at a time, so execution is sequentially
 // deterministic. There is no dedicated engine thread handing out time
@@ -9,11 +8,8 @@
 // pops, and only hands the run token to the target context when an event
 // resumes a *different* processor. The common case, a processor yielding
 // and resuming with no other processor scheduled in between, costs zero
-// context switches on either backend. A cross-processor handoff costs one
-// user-level stack switch (~tens of ns) on the fiber backend; on the thread
-// backend it is one wake + one park, i.e. two futex syscalls and a kernel
-// context switch. Both backends execute the identical event sequence, so
-// simulated results are bit-identical (tests/backend_equivalence_test.cc).
+// context switches. A cross-processor handoff costs one user-level stack
+// switch (~tens of ns).
 //
 // Application code advances its local virtual clock with charge() and parks
 // with block() until an engine-context event calls wake(). Protocol handlers
@@ -23,12 +19,9 @@
 // next charge() (a documented approximation, see DESIGN.md §2).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 
 #include "sim/fiber.h"
 #include "sim/time.h"
@@ -52,8 +45,7 @@ class Processor {
 
   // ---- Engine-context interface -------------------------------------------
 
-  // Creates the execution context (fiber or thread, per the engine's
-  // backend) and schedules the body to begin at start_time.
+  // Creates the fiber and schedules the body to begin at start_time.
   void start(std::function<void()> body, Time start_time = 0);
 
   // Schedules a resume for a processor parked in block(). If the processor
@@ -93,10 +85,9 @@ class Processor {
  private:
   struct Killed {};
 
-  // Shared body wrapper: initial park, body, Killed unwind; returns whether
-  // the context was killed. Runs on the fiber or the dedicated thread.
+  // Body wrapper: initial kill check, body, Killed unwind; returns whether
+  // the context was killed.
   bool run_body();
-  void thread_main();
   // Fiber entry (sim/fiber.h): runs the body, then either hands the run
   // token onward via the engine's exit path or, when killed, switches back
   // to the context that performed the kill. The returned context is the
@@ -105,25 +96,17 @@ class Processor {
 
   // Engine-context resume event: flags the engine to transfer control here.
   void mark_resume();
-  // Thread backend: hands the run token to this processor's thread.
-  void grant_control();
-  // Thread backend: waits for the run token; throws Killed on teardown.
-  // Fiber backend: the switch itself is the wait, so this only checks for a
-  // teardown kill (the initial park after the first switch-in).
-  void park();
   // Called after a fiber switch lands back in this processor: validates the
   // stack canary and unwinds via Killed if the engine is being torn down.
   void fiber_resumed();
-  // Windowed mode: parks by returning control to the lane's drain loop
-  // (stack switch on fiber-backed processors, sched handshake on the thread
-  // backend). The drain loop switches back in only to deliver this
-  // processor's own resume event.
+  // Windowed mode: parks by switching back to the lane's drain loop, which
+  // switches in again only to deliver this processor's own resume event.
   void park_to_scheduler();
   // Queue drained while this context still holds live frames (deadlock or
   // teardown): signal run()'s caller and park until killed.
   void park_forever();
-  // Backend-uniform destructor path: kill + unwind only when the context
-  // started and has not finished; otherwise just reclaim resources.
+  // Destructor path: kill + unwind only when the fiber started and has not
+  // finished; otherwise just reclaim its stack.
   void teardown();
 
   void absorb_stolen();
@@ -133,13 +116,6 @@ class Processor {
   const int id_;
   const int lane_;
 
-  // Thread backend.
-  std::thread thread_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool go_token_ = false;  // run token: this thread may execute app code
-
-  // Fiber backend.
   std::unique_ptr<Fiber> fiber_;
   FiberContext* kill_exit_ = nullptr;  // killer's context during teardown
 

@@ -57,7 +57,7 @@ struct HostCounters {
   std::uint64_t yields = 0;           // sum of processor horizon yields
   std::uint64_t blocks = 0;           // sum of processor block() parks
   std::uint64_t metadata_bytes = 0;   // protocol + network metadata resident
-  const char* backend = "";           // "fiber", "thread" or "parallel"
+  const char* backend = "";           // "fiber" or "parallel"
   std::uint64_t windows = 0;          // conservative windows executed (0 = off)
   int workers = 1;                    // worker threads draining lanes
 

@@ -9,8 +9,9 @@
 // `seq` is a global monotone sequence number stamped at record time. Exactly
 // one execution context runs at any moment (sim/engine.h), so the sequence
 // is a deterministic total order of trace events — the canonical stream is
-// simply all per-node buffers merged by seq, and fiber vs thread backends
-// produce byte-identical streams (tests/trace_test.cc).
+// simply all per-node buffers merged by seq. The windowed engine stamps seq
+// at window boundaries instead, so its stream is byte-identical on the
+// serial and parallel backends (tests/parallel_equivalence_test.cc).
 #pragma once
 
 #include <cstdint>

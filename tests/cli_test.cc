@@ -1,6 +1,6 @@
 // util::Cli flag parsing and the allocation-free lookup contract, plus the
-// bench-side --protocol selector that resolves names through the protocol
-// registry.
+// bench-side --protocol and --backend selectors that resolve names through
+// the protocol registry and sim::backend_from_name.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -113,6 +113,50 @@ TEST(ProtocolCliDeath, UnknownProtocolNameAborts) {
   // The abort message lists the valid names so a typo is self-correcting.
   EXPECT_DEATH((void)presto::bench::protocols_from_cli(cli),
                "unknown protocol 'bogus'.*stache.*ccached");
+}
+
+// Every name backend_name() prints parses back to its backend. Tested on
+// the parser directly: default_backend() caches PRESTO_BACKEND in a static,
+// so the environment path cannot be re-driven within one process.
+TEST(BackendName, EveryNameRoundTrips) {
+  for (const auto b : presto::sim::kAllBackends) {
+    presto::sim::Backend parsed{};
+    ASSERT_TRUE(presto::sim::backend_from_name(presto::sim::backend_name(b),
+                                               &parsed));
+    EXPECT_EQ(parsed, b);
+  }
+  EXPECT_EQ(presto::sim::backend_names(), "fiber, parallel");
+}
+
+TEST(BackendName, RejectsUnknownNames) {
+  presto::sim::Backend parsed = presto::sim::Backend::kParallel;
+  for (const char* name : {"thread", "bogus", "", "Fiber", "fiber "})
+    EXPECT_FALSE(presto::sim::backend_from_name(name, &parsed)) << name;
+  EXPECT_EQ(parsed, presto::sim::Backend::kParallel);  // untouched on failure
+}
+
+TEST(BackendCli, SelectsEachBackend) {
+  EXPECT_EQ(presto::bench::Scale::from_cli(make_cli({"--backend=fiber"}))
+                .backend,
+            presto::sim::Backend::kFiber);
+  EXPECT_EQ(presto::bench::Scale::from_cli(make_cli({"--backend=parallel"}))
+                .backend,
+            presto::sim::Backend::kParallel);
+}
+
+// The removed thread backend's name is an unknown name like any other.
+TEST(BackendCliDeath, ThreadBackendNameAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Cli cli = make_cli({"--backend=thread"});
+  EXPECT_DEATH((void)presto::bench::Scale::from_cli(cli),
+               "unknown backend 'thread'.*fiber, parallel");
+}
+
+TEST(BackendCliDeath, UnknownBackendNameAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Cli cli = make_cli({"--backend=bogus"});
+  EXPECT_DEATH((void)presto::bench::Scale::from_cli(cli),
+               "unknown backend 'bogus'.*fiber, parallel");
 }
 
 }  // namespace

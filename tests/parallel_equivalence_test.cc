@@ -11,7 +11,9 @@
 //     counter, message totals, exec time, final memory hash, and the full
 //     trace digest (equal digests => byte-identical canonical streams);
 //   * randomized soak — 20 runs with PRNG-drawn worker counts, every one
-//     digest-identical to the reference.
+//     digest-identical to the reference;
+//   * backend equivalence — horizon yields under a quantum floor and a full
+//     Barnes run land on the same canon on kFiber and kParallel.
 //
 // Plus the negative control: a planted conservative-PDES bug (a mailbox
 // flush held past its window boundary, check/bughook.h) must make the
@@ -24,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "apps/barnes/barnes.h"
 #include "apps/ranker/ranker.h"
 #include "check/bughook.h"
 #include "runtime/machine.h"
@@ -214,16 +217,6 @@ TEST_P(ParallelEquivalenceTest, ParallelMatchesSerialAcrossWorkers) {
   }
 }
 
-// The thread backend's windowed drain (condvar lane handoff instead of fiber
-// switches) must land on the same canon too: fiber ≡ thread ≡ parallel.
-TEST_P(ParallelEquivalenceTest, ThreadWindowedMatchesFiberWindowed) {
-  const WorkloadResult fiber = run_serial_windowed(GetParam(), 32);
-  const WorkloadResult thread = run_micro_workload(
-      GetParam(), /*quantum_floor=*/0, /*nodes=*/4, /*rounds=*/6,
-      sim::Backend::kThread, 32, /*traced=*/true, trace::kCatAll, kWindow);
-  expect_equal(fiber, thread);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllProtocols, ParallelEquivalenceTest,
     ::testing::ValuesIn(runtime::kAllProtocolKinds),
@@ -276,6 +269,66 @@ TEST(ParallelEquivalenceRanker, CCachedChecksumAndReportBitIdentical) {
     EXPECT_EQ(serial.report.faults, par.report.faults);
     EXPECT_EQ(serial.report.cc_flushes, par.report.cc_flushes);
     EXPECT_EQ(serial.report.cc_entries, par.report.cc_entries);
+  }
+}
+
+// ---- Backend equivalence ----------------------------------------------------
+// The two backends differ only in which OS thread drains a lane, so every
+// simulated result — including the trace — must match between the serial
+// fiber engine and the worker pool.
+
+class BackendEquivalenceTest : public ::testing::TestWithParam<ProtocolKind> {
+};
+
+// A nonzero quantum floor exercises horizon yields — extra voluntary control
+// transfers that must also land at identical virtual times on both backends.
+TEST_P(BackendEquivalenceTest, MicroWorkloadWithQuantumFloorBitIdentical) {
+  const auto run = [&](sim::Backend backend, int workers) {
+    return run_micro_workload(GetParam(), /*quantum_floor=*/500, /*nodes=*/4,
+                              /*rounds=*/4, backend, 32, /*traced=*/true,
+                              trace::kCatAll, kWindow, workers);
+  };
+  const WorkloadResult fiber = run(sim::Backend::kFiber, 0);
+  for (int workers : {2, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    expect_equal(fiber, run(sim::Backend::kParallel, workers));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllProtocols, BackendEquivalenceTest,
+    ::testing::ValuesIn(runtime::kAllProtocolKinds),
+    [](const ::testing::TestParamInfo<ProtocolKind>& info) -> std::string {
+      return protocol_suffix(info.param);
+    });
+
+TEST(BackendEquivalenceBarnes, ChecksumAndReportBitIdentical) {
+  apps::BarnesParams params;
+  params.bodies = 256;
+  params.steps = 2;
+  runtime::MachineConfig m = runtime::MachineConfig::cm5_blizzard(4, 32);
+  m.window = kWindow;
+  m.backend = sim::Backend::kFiber;
+  const auto fiber =
+      apps::run_barnes(params, m, ProtocolKind::kPredictive, true);
+  EXPECT_STREQ(fiber.report.host.backend, "fiber");
+  for (int workers : {2, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    m.backend = sim::Backend::kParallel;
+    m.workers = workers;
+    const auto par =
+        apps::run_barnes(params, m, ProtocolKind::kPredictive, true);
+    EXPECT_EQ(fiber.checksum, par.checksum);
+    EXPECT_EQ(fiber.report.exec, par.report.exec);
+    EXPECT_EQ(fiber.report.remote_wait, par.report.remote_wait);
+    EXPECT_EQ(fiber.report.presend, par.report.presend);
+    EXPECT_EQ(fiber.report.shared_accesses, par.report.shared_accesses);
+    EXPECT_EQ(fiber.report.faults, par.report.faults);
+    EXPECT_EQ(fiber.report.msgs, par.report.msgs);
+    EXPECT_EQ(fiber.report.bytes, par.report.bytes);
+    EXPECT_EQ(fiber.report.presend_blocks, par.report.presend_blocks);
+    // The backend name is the one legitimate host-side difference.
+    EXPECT_STREQ(par.report.host.backend, "parallel");
   }
 }
 

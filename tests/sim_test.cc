@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <ostream>
 #include <vector>
 
 #include "sim/engine.h"
@@ -192,7 +194,7 @@ TEST(Processor, QuantumFloorBatchesYields) {
 }
 
 TEST(Engine, TeardownWithNeverRunProcessorDoesNotHang) {
-  // A processor whose thread was spawned but whose engine never ran must be
+  // A processor whose fiber was created but whose engine never ran must be
   // unwound cleanly by the destructor (kill path).
   auto e = std::make_unique<Engine>();
   auto& p = e->add_processor();
@@ -201,21 +203,42 @@ TEST(Engine, TeardownWithNeverRunProcessorDoesNotHang) {
   SUCCEED();
 }
 
-// Teardown must be uniform across backends for every processor lifecycle
-// stage: never started, started but never scheduled (engine never ran),
-// and already finished. Each case exercises a distinct destructor path
-// (no context at all / Killed unwind / plain join-and-free).
-class BackendTeardownTest : public ::testing::TestWithParam<Backend> {};
+// Teardown must be uniform across engine shapes for every processor
+// lifecycle stage: never started, started but never scheduled (engine never
+// ran), and already finished. Each case exercises a distinct destructor path
+// (no fiber at all / Killed unwind / plain free). The shapes cover the
+// legacy run-token loop, the serial windowed lane drain, and lane drains on
+// a live worker pool.
+struct EngineShape {
+  const char* name;
+  Backend backend;
+  bool windowed;
+  int workers;
+};
+
+// Test names carry the printed parameter; print the name, not the bytes
+// (the default dump would include the name's pointer value).
+void PrintTo(const EngineShape& shape, std::ostream* os) { *os << shape.name; }
+
+std::unique_ptr<Engine> make_engine(const EngineShape& shape) {
+  auto e = std::make_unique<Engine>(shape.backend);
+  // 16 lanes: one per processor in ManyProcessorsDeterministicFinish.
+  if (shape.windowed)
+    e->enable_windows(/*window=*/10, /*lanes=*/16, shape.workers);
+  return e;
+}
+
+class BackendTeardownTest : public ::testing::TestWithParam<EngineShape> {};
 
 TEST_P(BackendTeardownTest, NeverStartedProcessor) {
-  auto e = std::make_unique<Engine>(GetParam());
+  auto e = make_engine(GetParam());
   e->add_processor();  // start() never called: no body, no context
   e.reset();
   SUCCEED();
 }
 
 TEST_P(BackendTeardownTest, StartedButNeverRunProcessor) {
-  auto e = std::make_unique<Engine>(GetParam());
+  auto e = make_engine(GetParam());
   auto& p = e->add_processor();
   bool ran = false;
   p.start([&] { ran = true; });
@@ -224,7 +247,7 @@ TEST_P(BackendTeardownTest, StartedButNeverRunProcessor) {
 }
 
 TEST_P(BackendTeardownTest, FinishedProcessor) {
-  auto e = std::make_unique<Engine>(GetParam());
+  auto e = make_engine(GetParam());
   auto& p = e->add_processor();
   p.start([&] { p.charge(10); });
   e->run();
@@ -234,7 +257,7 @@ TEST_P(BackendTeardownTest, FinishedProcessor) {
 }
 
 TEST_P(BackendTeardownTest, MixedLifecyclesInOneEngine) {
-  auto e = std::make_unique<Engine>(GetParam());
+  auto e = make_engine(GetParam());
   e->add_processor();  // never started
   auto& p = e->add_processor();
   p.start([&] { p.charge(5); });  // started, never run
@@ -243,23 +266,23 @@ TEST_P(BackendTeardownTest, MixedLifecyclesInOneEngine) {
 }
 
 TEST_P(BackendTeardownTest, DeadlockIsDetected) {
-  const Backend backend = GetParam();
-  auto deadlock = [backend] {
-    Engine e(backend);
-    auto& p = e.add_processor();
+  const EngineShape shape = GetParam();
+  auto deadlock = [shape] {
+    auto e = make_engine(shape);
+    auto& p = e->add_processor();
     p.start([&] { p.block(); });  // nobody ever wakes it
-    e.run();
+    e->run();
   };
   EXPECT_DEATH(deadlock(), "deadlock");
 }
 
 TEST_P(BackendTeardownTest, ManyProcessorsDeterministicFinish) {
-  const Backend backend = GetParam();
-  auto run_once = [backend] {
-    Engine e(backend);
+  const EngineShape shape = GetParam();
+  auto run_once = [shape] {
+    auto e = make_engine(shape);
     const int n = 16;
     std::vector<Processor*> ps;
-    for (int i = 0; i < n; ++i) ps.push_back(&e.add_processor());
+    for (int i = 0; i < n; ++i) ps.push_back(&e->add_processor());
     std::vector<Time> finish(n, 0);
     for (int i = 0; i < n; ++i) {
       Processor* p = ps[static_cast<std::size_t>(i)];
@@ -268,17 +291,20 @@ TEST_P(BackendTeardownTest, ManyProcessorsDeterministicFinish) {
         finish[static_cast<std::size_t>(i)] = p->now();
       });
     }
-    e.run();
+    e->run();
     return finish;
   };
   EXPECT_EQ(run_once(), run_once());
 }
 
-INSTANTIATE_TEST_SUITE_P(BothBackends, BackendTeardownTest,
-                         ::testing::Values(Backend::kFiber, Backend::kThread),
-                         [](const ::testing::TestParamInfo<Backend>& info) {
-                           return std::string(backend_name(info.param));
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    EngineShapes, BackendTeardownTest,
+    ::testing::Values(EngineShape{"legacy_fiber", Backend::kFiber, false, 1},
+                      EngineShape{"windowed_fiber", Backend::kFiber, true, 1},
+                      EngineShape{"parallel2", Backend::kParallel, true, 2}),
+    [](const ::testing::TestParamInfo<EngineShape>& info) {
+      return std::string(info.param.name);
+    });
 
 namespace overflow {
 // Recursion with a per-frame buffer small enough that every frame touches

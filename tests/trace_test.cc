@@ -1,7 +1,7 @@
 // Golden-trace tier: pinned digests of the canonical event stream across
-// every protocol × coherence block size, byte-identical streams across the
-// fiber and thread backends, and the zero-perturbation guarantee — a traced
-// run's simulated results are bit-identical to an untraced run's.
+// every protocol × coherence block size, and the zero-perturbation
+// guarantee — a traced run's simulated results are bit-identical to an
+// untraced run's.
 //
 // The digest (event count by kind + FNV-1a over the canonical seq-merged
 // stream) freezes the *observed* behavior the tracer reports: any change to
@@ -9,8 +9,6 @@
 // here. Pins were captured from the implementation that introduced the
 // tracer; on an intentional change, rerun and paste the ACTUAL rows.
 #include <gtest/gtest.h>
-
-#include <cstring>
 
 #include "golden_workload.h"
 #include "trace/file.h"
@@ -23,10 +21,9 @@ using runtime::ProtocolKind;
 using testutil::run_micro_workload;
 using testutil::WorkloadResult;
 
-WorkloadResult traced_run(ProtocolKind kind, std::uint32_t block_size,
-                          sim::Backend backend = sim::default_backend()) {
+WorkloadResult traced_run(ProtocolKind kind, std::uint32_t block_size) {
   return run_micro_workload(kind, /*quantum_floor=*/0, /*nodes=*/4,
-                            /*rounds=*/6, backend, block_size,
+                            /*rounds=*/6, sim::default_backend(), block_size,
                             /*traced=*/true);
 }
 
@@ -134,29 +131,6 @@ TEST(GoldenTrace, DigestMatchesCanonicalStream) {
   for (std::size_t i = 1; i < r.trace_data.events.size(); ++i)
     ASSERT_LT(r.trace_data.events[i - 1].seq, r.trace_data.events[i].seq);
 }
-
-// Fiber and thread backends execute the same event sequence, so the traces
-// must be byte-identical — digests AND full serialized bytes.
-class TraceBackendTest : public ::testing::TestWithParam<ProtocolKind> {};
-
-TEST_P(TraceBackendTest, BackendsByteIdentical) {
-  const auto fiber = traced_run(GetParam(), 32, sim::Backend::kFiber);
-  const auto thread = traced_run(GetParam(), 32, sim::Backend::kThread);
-  ASSERT_TRUE(fiber.traced);
-  ASSERT_TRUE(thread.traced);
-  EXPECT_EQ(fiber.trace_digest, thread.trace_digest);
-  const auto a = trace::serialize(fiber.trace_data);
-  const auto b = trace::serialize(thread.trace_data);
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size()), 0);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllProtocols, TraceBackendTest,
-    ::testing::ValuesIn(runtime::kAllProtocolKinds),
-    [](const ::testing::TestParamInfo<ProtocolKind>& info) -> std::string {
-      return kind_id(info.param) + 1;  // strip the "k" prefix
-    });
 
 // Zero perturbation: attaching the tracer must not move a single simulated
 // number. Every golden counter, the event count, exec time, and the final
