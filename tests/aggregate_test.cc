@@ -4,6 +4,7 @@
 // and the tiled mesh is as square as the node count allows.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "runtime/aggregate.h"
@@ -18,8 +19,11 @@ MachineConfig tiny(int nodes) {
   return m;
 }
 
+// Both members are eight bytes wide so the struct has no padding: ctest names
+// each case after the parameter's raw bytes, and indeterminate padding made
+// those names differ from build to build.
 struct DistParam {
-  int nodes;
+  std::int64_t nodes;
   std::size_t n;  // elements (1D) or rows==cols (2D)
 };
 
