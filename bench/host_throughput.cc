@@ -353,9 +353,15 @@ int main(int argc, char** argv) {
       static_cast<int>(cli.get_int("ranker-iters", quick ? 2 : 8));
   const double min_micro_eps =
       static_cast<double>(cli.get_int("min-micro-eps", 0));
+  // --backend=parallel adds the parallel leg; fiber (the default) adds none.
   const std::string backend_s = cli.get("backend", "");
-  PRESTO_CHECK(backend_s.empty() || backend_s == "parallel",
-               "--backend: expected 'parallel', got '" << backend_s << "'");
+  sim::Backend backend = sim::Backend::kFiber;
+  if (!backend_s.empty())
+    PRESTO_CHECK(sim::backend_from_name(backend_s, &backend),
+                 "--backend: unknown backend '"
+                     << backend_s << "' (expected one of: "
+                     << sim::backend_names() << ")");
+  const bool parallel_leg = backend == sim::Backend::kParallel;
   const int req_workers = static_cast<int>(cli.get_int("workers", 4));
   PRESTO_CHECK(req_workers >= 1, "--workers must be >= 1");
   // Host-only tuning knob: cap on consecutive spin-acquired window releases
@@ -421,10 +427,10 @@ int main(int argc, char** argv) {
   // is).
   const bool sweep_meaningful = hw_cpus >= 4;
   const bool bench_parallel =
-      backend_s == "parallel" || (!json_path.empty() && sweep_meaningful);
+      parallel_leg || (!json_path.empty() && sweep_meaningful);
   const bool sweep_skipped =
-      backend_s != "parallel" && !json_path.empty() && !sweep_meaningful;
-  const int pnodes = backend_s == "parallel" ? micro_nodes : 64;
+      !parallel_leg && !json_path.empty() && !sweep_meaningful;
+  const int pnodes = parallel_leg ? micro_nodes : 64;
   // Per-node block count and round count for the ring workload, sized so a
   // full sweep stays a few seconds while every window carries real work.
   const int pblocks = quick ? 16 : 64;
@@ -444,7 +450,7 @@ int main(int argc, char** argv) {
                 "events/sec (serial fiber, window=30us)\n",
                 pnodes, pblocks, prounds, serial_windowed.events_per_sec);
     std::vector<int> wlist{1, 2, 4, 8};
-    if (backend_s == "parallel") wlist = {req_workers};
+    if (parallel_leg) wlist = {req_workers};
     for (const int w : wlist) {
       ParallelPoint p;
       p.workers = w;

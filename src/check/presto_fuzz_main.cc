@@ -23,6 +23,7 @@
 #include <string>
 
 #include "check/fuzz.h"
+#include "sim/fiber.h"
 #include "util/check.h"
 #include "util/cli.h"
 #include "util/pool.h"
@@ -87,14 +88,20 @@ int main(int argc, char** argv) {
       static_cast<int>(cli.get_int("shrink-attempts", 200));
   int jobs = static_cast<int>(
       cli.get_int("jobs", presto::util::default_pool_jobs()));
-  const std::string backend = cli.get("backend", "");
+  // --backend=parallel adds the backend differential; fiber (the default)
+  // adds none.
+  const std::string backend_s = cli.get("backend", "");
+  presto::sim::Backend backend = presto::sim::Backend::kFiber;
+  if (!backend_s.empty())
+    PRESTO_CHECK(presto::sim::backend_from_name(backend_s, &backend),
+                 "--backend: unknown backend '"
+                     << backend_s << "' (expected one of: "
+                     << presto::sim::backend_names() << ")");
   int parallel_workers = 0;
-  if (backend == "parallel") {
+  if (backend == presto::sim::Backend::kParallel) {
     parallel_workers = static_cast<int>(cli.get_int("workers", 4));
     PRESTO_CHECK(parallel_workers >= 1, "--workers must be >= 1");
   } else {
-    PRESTO_CHECK(backend.empty(),
-                 "--backend: expected 'parallel', got '" << backend << "'");
     (void)cli.get_int("workers", 0);  // accepted, meaningful with --backend
   }
   cli.reject_unknown();

@@ -38,10 +38,9 @@ struct MachineConfig {
   sim::Time op = 15;            // one integer/addressing op
   sim::Time barrier_latency = sim::microseconds(5);  // CM-5 control network
   sim::Time reduce_per_byte = 50;                    // control-network combine
-  sim::Time quantum_floor = 0;  // 0 = exact event-granularity interleaving
   std::uint64_t seed = 0x5EEDF00DULL;
-  // Host-side processor implementation (fibers vs OS threads); simulated
-  // results are bit-identical across backends, only host speed differs.
+  // Host-side backend (fibers on one thread, or lanes on a worker pool); only
+  // host speed differs across backends within one canon (see `window`).
   sim::Backend backend = sim::default_backend();
   // Conservative-window engine (sim/engine.h): 0 keeps the classic
   // single-lane engine (every legacy golden number unchanged). Any positive

@@ -56,7 +56,6 @@ int default_workers(int nodes) {
 
 System::System(const MachineConfig& cfg, ProtocolKind kind)
     : cfg_(cfg), kind_(kind), rec_(cfg.nodes), engine_(cfg.backend) {
-  engine_.set_quantum_floor(cfg.quantum_floor);
   if (cfg.backend == sim::Backend::kParallel || cfg.window > 0) {
     // Windowed (conservative-lookahead) execution. The width may not exceed
     // the network's minimum cross-node latency, or staged boundary flushes

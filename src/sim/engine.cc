@@ -144,51 +144,34 @@ Processor* Engine::step_one(Lane& l) {
   return to;
 }
 
-void Engine::transfer(Processor* self, Processor* to) {
-  ++lane0_->handoffs;
-  FiberContext& from = self != nullptr ? self->fiber_->context() : main_ctx_;
-  fiber_switch(from, to->fiber_->context());
-  // Control came back: either our own resume event popped in some other
-  // context's drive, or (run()'s caller) the queue drained.
-  if (self != nullptr) self->fiber_resumed();  // throws Killed on teardown
+Processor* Engine::next_resumed(Lane& l) {
+  while (!l.heap.empty() && l.heap[0].t < l.cap)
+    if (Processor* to = step_one(l)) return to;
+  return nullptr;
 }
 
-bool Engine::drive(Processor* self) {
-  Lane& l = *lane0_;
-  for (;;) {
-    if (l.heap.empty()) {
-      if (self == nullptr) return true;
-      // An application context drained the queue while parked in block():
-      // either another processor still runs app code elsewhere (it will
-      // never hand back — deadlock) or everything finished. Let run()'s
-      // caller make the call; this context stays parked (teardown kills it).
-      done_ = true;
-      self->park_forever();
-      continue;
-    }
-    Processor* to = step_one(l);
-    if (to == nullptr) continue;
-    if (to == self) {
-      ++l.direct_resumes;
-      return false;  // own resume: continue app code in place
-    }
-    transfer(self, to);
-    return false;
-  }
+FiberContext& Engine::switch_target(Lane& l, Processor* to) {
+  if (to == nullptr) return l.sched_ctx;
+  ++l.handoffs;
+  return to->fiber_->context();
 }
 
-FiberContext* Engine::drive_exit_target() {
-  Lane& l = *lane0_;
-  for (;;) {
-    if (l.heap.empty()) {
-      done_ = true;
-      return &main_ctx_;
-    }
-    Processor* to = step_one(l);
-    if (to == nullptr) continue;
-    ++l.handoffs;
-    return &to->fiber_->context();
+void Engine::drive(Processor* self) {
+  Lane& l = lane(self->lane_);
+  Processor* to = next_resumed(l);
+  if (to == self) {
+    ++l.direct_resumes;
+    return;  // own resume: continue app code in place
   }
+  fiber_switch(self->fiber_->context(), switch_target(l, to));
+  // Control came back: our own resume popped in some other context's drive
+  // or drain loop (possibly a later window's, on another worker).
+  self->fiber_resumed();  // throws Killed on teardown
+}
+
+FiberContext* Engine::drive_exit_target(int lane_id) {
+  Lane& l = lane(lane_id);
+  return &switch_target(l, next_resumed(l));
 }
 
 void Engine::drain_lane(int lane_id) {
@@ -201,14 +184,10 @@ void Engine::drain_lane(int lane_id) {
   const Engine* prev_engine = tls_engine_;
   tls_lane_ = lane_id;
   tls_engine_ = this;
-  while (!l.heap.empty() && l.heap[0].t < l.cap) {
-    Processor* to = step_one(l);
-    if (to == nullptr) continue;
-    // Hand control to the resumed processor's context; it runs app code on
-    // this worker until it parks back into the lane's drain loop.
-    ++l.handoffs;
-    fiber_switch(l.sched_ctx, to->fiber_->context());
-  }
+  // Hand control to each resumed processor's context; it drives the lane
+  // inline and switches back here once the lane is empty or at its cap.
+  while (Processor* to = next_resumed(l))
+    fiber_switch(l.sched_ctx, switch_target(l, to));
   tls_lane_ = prev_lane;
   tls_engine_ = prev_engine;
 }
@@ -292,15 +271,10 @@ void Engine::run_windowed() {
 }
 
 void Engine::run() {
-  if (windowed_) {
+  if (windowed_)
     run_windowed();
-  } else {
-    done_ = false;  // no application context is running between runs
-    // The handoff in drive() only returns once a fiber flagged the drain and
-    // switched back to this context.
-    if (!drive(nullptr))
-      PRESTO_CHECK(done_, "engine resumed run() before drain");
-  }
+  else
+    drain_lane(0);
   for (const auto& p : processors_) {
     PRESTO_CHECK(!p->started() || p->finished() || !p->parked_in_block(),
                  "deadlock: processor " << p->id()

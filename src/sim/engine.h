@@ -2,12 +2,12 @@
 //
 // Events execute in strict (time, insertion sequence) order. Simulated
 // processors (sim/processor.h) run application code on their own user-level
-// fibers, but exactly one context runs at any moment, so execution is
-// sequentially deterministic and needs no other synchronization. The event
-// loop itself has no dedicated context: run() drives it on the caller until
-// an event resumes a processor, after which whichever fiber yields drives it
-// inline (see processor.h for the run-token protocol). The whole engine
-// lives on one OS thread and a handoff is a user-level stack switch.
+// fibers, but exactly one context runs per event lane at any moment, so
+// execution is sequentially deterministic. Every lane has one event loop:
+// drain_lane() pops events on run()'s caller (or a pool worker) until one
+// resumes a processor, and from then on whichever processor yields or blocks
+// drives its own lane inline (see processor.h). The legacy engine (window 0,
+// the default) is lane 0 alone, with no cap.
 //
 // The queue is built for host throughput: closures live in a slab of
 // fixed-size slots recycled through a freelist (no per-event heap
@@ -30,9 +30,8 @@
 // drain (all cross-node effects are staged and applied at the boundary), the
 // lanes may be drained in any order — or concurrently by a worker pool
 // (Backend::kParallel, sim/parallel.h) — and the result is bit-identical to
-// draining them serially in lane order. Windowed mode is opt-in: with
-// window 0 (the default) the engine is a single lane and behaves exactly as
-// before, preserving every legacy golden number.
+// draining them serially in lane order. Windowed mode is opt-in; the legacy
+// single lane keeps every legacy golden number.
 #pragma once
 
 #include <cstdint>
@@ -106,21 +105,12 @@ class Engine {
                                : global_now_;
   }
 
-  // Earliest pending event time, or kTimeNever when the queue is empty.
-  // Running processors yield when their local clock passes this horizon so
-  // that cross-processor effects interleave at event granularity. Windowed
-  // mode: the calling lane's head (lane-local by construction).
-  Time horizon() const {
-    const Lane& l =
-        windowed_ && tls_engine_ == this
-            ? *lanes_[static_cast<std::size_t>(tls_lane_)]
-            : *lane0_;
-    return l.heap.empty() ? kTimeNever : l.heap[0].t;
-  }
-
-  // Horizon variant for processor yields: the lane head only if it will
-  // still execute in the current window. An event beyond the cap cannot run
-  // until the next window, so a computing processor need not yield for it.
+  // Earliest pending event time on the calling context's lane that will
+  // still execute in the current window, or kTimeNever. Running processors
+  // yield when their local clock passes it, so cross-processor effects
+  // interleave at event granularity; an event beyond the lane's cap cannot
+  // run until the next window, so a computing processor need not yield for
+  // it (legacy: no cap, so this is the queue head).
   Time yield_horizon() const {
     const Lane& l =
         windowed_ && tls_engine_ == this
@@ -174,10 +164,10 @@ class Engine {
     return lanes_[static_cast<std::size_t>(lane)]->now;
   }
 
-  // Drains one lane up to its cap, running resumed processors to their next
-  // park. Called serially by run() or concurrently by a WindowPool; lanes
-  // share no mutable state during a drain, so either produces the identical
-  // result.
+  // Drains one lane up to its cap; resumed processors drive it inline
+  // meanwhile. Called by run() (lane 0 alone in legacy mode, every lane per
+  // window when windowed) or concurrently by a WindowPool; lanes share no
+  // mutable state during a drain, so any order gives the identical result.
   void drain_lane(int lane);
 
   // ---------------------------------------------------------------------------
@@ -193,22 +183,15 @@ class Engine {
 
   // Statistics (host-side observability; never part of simulated results).
   std::uint64_t events_executed() const;
-  // Cross-context control transfers: run token handed to a different
-  // processor's fiber (one stack switch each).
+  // Switches into a resumed processor's fiber from a different context (a
+  // drain loop or another processor's fiber; one stack switch each).
   std::uint64_t handoffs() const;
-  // Resume events that popped while their own processor was driving — the
-  // fast path costing zero stack switches. Always zero in windowed mode (the
-  // drain loop is the only driver).
+  // Resume events that popped while their own processor was driving its
+  // lane — the fast path costing zero stack switches. Windowed lanes get
+  // them too, for resumes that fall before the lane's cap.
   std::uint64_t direct_resumes() const;
   // Windows executed (windowed mode only).
   std::uint64_t windows_run() const { return windows_run_; }
-
-  // Minimum compute time a processor may accumulate before yielding at the
-  // horizon; 0 means exact event-granularity interleaving. Larger quanta
-  // speed up the host at the cost of sub-quantum timing fidelity (values are
-  // unaffected for data-race-free programs).
-  void set_quantum_floor(Time q) { quantum_floor_ = q; }
-  Time quantum_floor() const { return quantum_floor_; }
 
   // Per-fiber stack size for processors created after this call (tests use
   // tiny stacks to exercise overflow detection). Defaults to
@@ -255,7 +238,7 @@ class Engine {
     std::uint64_t events = 0;
     std::uint64_t handoffs = 0;
     std::uint64_t direct_resumes = 0;
-    // Windowed: the drain loop's saved context while a fiber runs app code.
+    // The drain loop's saved context while the lane's fibers drive it.
     FiberContext sched_ctx;
     // Windowed: a deferred cross-lane operation (boundary_gate).
     std::function<void()> gate;
@@ -277,21 +260,21 @@ class Engine {
   // Executes the lane's next event; returns the processor it resumed, or
   // nullptr.
   Processor* step_one(Lane& l);
-  // Legacy event loop, called by the context holding the run token. With
-  // self set (an application context that yielded or blocked), returns once
-  // control is back with self's app code — either its own resume event
-  // popped, or the token went to another context and came back. With self
-  // null (run()'s caller), returns after draining the queue or handing the
-  // token to an application context; returns true iff this call drained the
-  // queue.
-  bool drive(Processor* self);
-  // Hands the run token from `self` (null = run()'s caller) to `to`: a
-  // direct stack switch that returns when control comes back.
-  void transfer(Processor* self, Processor* to);
-  // Drives on a fiber whose processor body just finished: returns the
-  // context it must terminally switch to (the next resumed processor, or
-  // run()'s caller after flagging the drain).
-  FiberContext* drive_exit_target();
+  // Pops the lane's events below its cap until one resumes a processor;
+  // returns it, or nullptr once the lane is empty or at its cap.
+  Processor* next_resumed(Lane& l);
+  // The context to switch to after next_resumed returned `to`: its fiber
+  // (counted as a handoff), or the lane's drain loop when null.
+  FiberContext& switch_target(Lane& l, Processor* to);
+  // Called by a processor that yielded or blocked: drives its own lane
+  // inline and returns once control is back with self's app code — either
+  // its own resume popped here (a direct resume), or control passed to
+  // another processor or the drain loop and came back with that resume.
+  void drive(Processor* self);
+  // Drives `lane` on a fiber whose processor body just finished: returns the
+  // context it must terminally switch to (the next resumed processor, or the
+  // lane's drain loop once the lane is empty or at its cap).
+  FiberContext* drive_exit_target(int lane);
 
   // Windowed run loop: watermark, caps, drain (serial or pooled), boundary.
   void run_windowed();
@@ -315,17 +298,8 @@ class Engine {
   static thread_local const Engine* tls_engine_;
 
   std::vector<std::unique_ptr<Processor>> processors_;
-  Time quantum_floor_ = 0;
   std::size_t fiber_stack_size_;
   trace::Hooks* trace_hooks_ = nullptr;
-
-  // Legacy mode: the saved context of run()'s caller while application
-  // fibers drive the event loop, and the flag a fiber sets before switching
-  // back to it once the queue drained.
-  FiberContext main_ctx_;
-  bool done_ = false;
-
-  friend class EngineTestPeer;
 };
 
 }  // namespace presto::sim

@@ -55,15 +55,10 @@ bool Processor::run_body() {
 FiberContext* Processor::fiber_entry(void* self_void) {
   auto* self = static_cast<Processor*>(self_void);
   if (self->run_body()) return self->kill_exit_;
-  if (self->engine_.windowed()) {
-    // Return control to the lane's drain loop; remaining lane events run on
-    // its stack. A stale resume for this processor is a no-op (mark_resume
-    // checks finished_).
-    return &self->engine_.lane(self->lane_).sched_ctx;
-  }
-  // Keep driving the event loop on this (now dead-to-the-simulation) stack
-  // until control must pass elsewhere; that handoff is the fiber's last act.
-  return self->engine_.drive_exit_target();
+  // Keep driving the lane on this (now dead-to-the-simulation) stack until
+  // control must pass elsewhere; that switch is the fiber's last act. A stale
+  // resume for this processor is a no-op (mark_resume checks finished_).
+  return self->engine_.drive_exit_target(self->lane_);
 }
 
 void Processor::mark_resume() {
@@ -78,17 +73,6 @@ void Processor::fiber_resumed() {
                    << id_ << " (" << fiber_->stack_size()
                    << " bytes); increase PRESTO_STACK_SIZE");
   if (kill_) throw Killed{};
-}
-
-void Processor::park_to_scheduler() {
-  fiber_switch(fiber_->context(), engine_.lane(lane_).sched_ctx);
-  fiber_resumed();  // throws Killed on teardown
-}
-
-void Processor::park_forever() {
-  fiber_switch(fiber_->context(), engine_.main_ctx_);
-  fiber_resumed();  // teardown kill: throws
-  PRESTO_FAIL("processor " << id_ << " resumed after queue drain");
 }
 
 void Processor::wake(Time t) {
@@ -117,32 +101,14 @@ void Processor::charge(Time d) {
   PRESTO_CHECK(d >= 0, "negative charge " << d);
   clock_ += d;
   absorb_stolen();
-  maybe_yield_at_horizon();
-}
-
-void Processor::maybe_yield_at_horizon() {
   const Time h = engine_.yield_horizon();
-  if (h == kTimeNever || clock_ < h) return;
-  if (clock_ < last_yield_clock_ + engine_.quantum_floor()) return;
-  last_yield_clock_ = clock_;
-  ++yields_;
-  engine_.schedule_at(clock_, [this] { mark_resume(); });
-  if (engine_.windowed()) {
-    park_to_scheduler();
-  } else {
-    engine_.drive(this);
-  }
+  if (h != kTimeNever && clock_ >= h) yield();
 }
 
 void Processor::yield() {
   ++yields_;
-  last_yield_clock_ = clock_;
   engine_.schedule_at(clock_, [this] { mark_resume(); });
-  if (engine_.windowed()) {
-    park_to_scheduler();
-  } else {
-    engine_.drive(this);
-  }
+  engine_.drive(this);
   if (resume_time_ > clock_) clock_ = resume_time_;
 }
 
@@ -157,11 +123,7 @@ void Processor::block() {
     absorb_stolen();
   } else {
     blocked_ = true;
-    if (engine_.windowed()) {
-      park_to_scheduler();
-    } else {
-      engine_.drive(this);
-    }
+    engine_.drive(this);
     // Woken by wake(): the resume event carries the wake time.
     if (resume_time_ > clock_) clock_ = resume_time_;
     absorb_stolen();

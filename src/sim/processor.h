@@ -1,15 +1,16 @@
 // A simulated processor running application code on its own user-level
 // fiber (sim/fiber.h).
 //
-// Exactly one context executes at a time, so execution is sequentially
-// deterministic. There is no dedicated engine thread handing out time
-// slices: whichever application context yields (at the event horizon or in
-// block()) drives the engine's event loop inline until its own resume event
-// pops, and only hands the run token to the target context when an event
-// resumes a *different* processor. The common case, a processor yielding
-// and resuming with no other processor scheduled in between, costs zero
-// context switches. A cross-processor handoff costs one user-level stack
-// switch (~tens of ns).
+// Exactly one context executes per event lane at a time, so execution is
+// sequentially deterministic. There is no dedicated engine thread handing
+// out time slices: whichever application context yields (at the event
+// horizon or in block()) drives its own lane's event loop inline
+// (Engine::drive) until its own resume event pops, and switches away only
+// when an event resumes a *different* processor or the lane is empty or at
+// its window cap (back to the lane's drain loop). The common case, a
+// processor yielding and resuming with no other processor scheduled in
+// between, costs zero context switches, in legacy and windowed mode alike.
+// A switch costs one user-level stack switch (~tens of ns).
 //
 // Application code advances its local virtual clock with charge() and parks
 // with block() until an engine-context event calls wake(). Protocol handlers
@@ -88,10 +89,10 @@ class Processor {
   // Body wrapper: initial kill check, body, Killed unwind; returns whether
   // the context was killed.
   bool run_body();
-  // Fiber entry (sim/fiber.h): runs the body, then either hands the run
-  // token onward via the engine's exit path or, when killed, switches back
-  // to the context that performed the kill. The returned context is the
-  // fiber's terminal switch target.
+  // Fiber entry (sim/fiber.h): runs the body, then either drives the lane
+  // onward via the engine's exit path or, when killed, switches back to the
+  // context that performed the kill. The returned context is the fiber's
+  // terminal switch target.
   static FiberContext* fiber_entry(void* self);
 
   // Engine-context resume event: flags the engine to transfer control here.
@@ -99,18 +100,11 @@ class Processor {
   // Called after a fiber switch lands back in this processor: validates the
   // stack canary and unwinds via Killed if the engine is being torn down.
   void fiber_resumed();
-  // Windowed mode: parks by switching back to the lane's drain loop, which
-  // switches in again only to deliver this processor's own resume event.
-  void park_to_scheduler();
-  // Queue drained while this context still holds live frames (deadlock or
-  // teardown): signal run()'s caller and park until killed.
-  void park_forever();
   // Destructor path: kill + unwind only when the fiber started and has not
   // finished; otherwise just reclaim its stack.
   void teardown();
 
   void absorb_stolen();
-  void maybe_yield_at_horizon();
 
   Engine& engine_;
   const int id_;
@@ -125,7 +119,6 @@ class Processor {
   Time clock_ = 0;
   Time stolen_pending_ = 0;
   Time stolen_total_ = 0;
-  Time last_yield_clock_ = 0;
 
   bool started_ = false;
   bool finished_ = false;

@@ -52,7 +52,7 @@ struct NodeCounters {
 struct HostCounters {
   double run_wall_s = 0.0;            // wall time inside System::run
   std::uint64_t events = 0;           // engine events executed
-  std::uint64_t handoffs = 0;         // cross-context run-token transfers
+  std::uint64_t handoffs = 0;         // switches into a resumed fiber
   std::uint64_t direct_resumes = 0;   // self-resumes (zero-switch fast path)
   std::uint64_t yields = 0;           // sum of processor horizon yields
   std::uint64_t blocks = 0;           // sum of processor block() parks

@@ -50,11 +50,11 @@ bool write_file(const TraceData& t, const std::string& path,
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return fail(err, "cannot open '" + path + "' for writing");
   const std::size_t n = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool ok = n == bytes.size() && std::fclose(f) == 0;
-  if (!ok) {
-    if (n == bytes.size()) std::fclose(f);
+  // Close exactly once, whether or not the write came up short: fclose
+  // flushes the tail, so it can fail too.
+  const bool closed = std::fclose(f) == 0;
+  if (n != bytes.size() || !closed)
     return fail(err, "short write to '" + path + "'");
-  }
   return true;
 }
 

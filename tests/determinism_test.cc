@@ -1,13 +1,6 @@
 // Determinism regression: the simulator must produce identical results on
 // identical inputs — same per-node counters, same network totals, same
 // final memory contents and access tags — run after run.
-//
-// The engine's quantum_floor host-speed knob changes how often processors
-// yield at the event horizon. For a data-race-free workload that never
-// changes *what* is computed (memory contents, fault/message/byte counts,
-// schedule entries), only sub-quantum timing (wait-time breakdowns), which
-// is exactly the trade documented in sim/engine.h — so the quantum tests
-// compare everything except the time-valued counters.
 #include <gtest/gtest.h>
 
 #include "golden_workload.h"
@@ -17,15 +10,12 @@ using namespace presto;
 namespace {
 
 void expect_identical(const testutil::WorkloadResult& a,
-                      const testutil::WorkloadResult& b,
-                      bool compare_timing) {
+                      const testutil::WorkloadResult& b) {
   EXPECT_EQ(a.msgs, b.msgs);
   EXPECT_EQ(a.bytes, b.bytes);
   EXPECT_EQ(a.mem_hash, b.mem_hash);
-  if (compare_timing) {
-    EXPECT_EQ(a.exec, b.exec);
-    EXPECT_EQ(a.events, b.events);
-  }
+  EXPECT_EQ(a.exec, b.exec);
+  EXPECT_EQ(a.events, b.events);
   ASSERT_EQ(a.counters.size(), b.counters.size());
   for (std::size_t n = 0; n < a.counters.size(); ++n) {
     const auto& x = a.counters[n];
@@ -42,20 +32,18 @@ void expect_identical(const testutil::WorkloadResult& a,
         << "node " << n;
     EXPECT_EQ(x.presend_msgs, y.presend_msgs) << "node " << n;
     EXPECT_EQ(x.schedule_entries, y.schedule_entries) << "node " << n;
-    if (compare_timing) {
-      EXPECT_EQ(x.remote_wait, y.remote_wait) << "node " << n;
-      EXPECT_EQ(x.presend, y.presend) << "node " << n;
-      EXPECT_EQ(x.barrier_wait, y.barrier_wait) << "node " << n;
-      EXPECT_EQ(x.lock_wait, y.lock_wait) << "node " << n;
-      EXPECT_EQ(x.finish, y.finish) << "node " << n;
-    }
+    EXPECT_EQ(x.remote_wait, y.remote_wait) << "node " << n;
+    EXPECT_EQ(x.presend, y.presend) << "node " << n;
+    EXPECT_EQ(x.barrier_wait, y.barrier_wait) << "node " << n;
+    EXPECT_EQ(x.lock_wait, y.lock_wait) << "node " << n;
+    EXPECT_EQ(x.finish, y.finish) << "node " << n;
   }
 }
 
 TEST(Determinism, StacheRepeatedRunsIdentical) {
   const auto a = testutil::run_micro_workload(runtime::ProtocolKind::kStache);
   const auto b = testutil::run_micro_workload(runtime::ProtocolKind::kStache);
-  expect_identical(a, b, /*compare_timing=*/true);
+  expect_identical(a, b);
 }
 
 TEST(Determinism, PredictiveRepeatedRunsIdentical) {
@@ -63,25 +51,7 @@ TEST(Determinism, PredictiveRepeatedRunsIdentical) {
       testutil::run_micro_workload(runtime::ProtocolKind::kPredictive);
   const auto b =
       testutil::run_micro_workload(runtime::ProtocolKind::kPredictive);
-  expect_identical(a, b, /*compare_timing=*/true);
-}
-
-TEST(Determinism, QuantumFloorDoesNotChangeResults) {
-  const auto exact =
-      testutil::run_micro_workload(runtime::ProtocolKind::kPredictive,
-                                   /*quantum_floor=*/0);
-  const auto coarse =
-      testutil::run_micro_workload(runtime::ProtocolKind::kPredictive,
-                                   sim::microseconds(200));
-  expect_identical(exact, coarse, /*compare_timing=*/false);
-}
-
-TEST(Determinism, QuantumFloorDoesNotChangeStacheResults) {
-  const auto exact = testutil::run_micro_workload(
-      runtime::ProtocolKind::kStache, /*quantum_floor=*/0);
-  const auto coarse = testutil::run_micro_workload(
-      runtime::ProtocolKind::kStache, sim::microseconds(200));
-  expect_identical(exact, coarse, /*compare_timing=*/false);
+  expect_identical(a, b);
 }
 
 }  // namespace

@@ -172,7 +172,7 @@ TEST(GoldenStats, ProtocolBlockSizeMatrix) {
     SCOPED_TRACE(std::string(runtime::protocol_kind_name(g.kind)) + " bsz=" +
                  std::to_string(g.block_size));
     const auto r = testutil::run_micro_workload(
-        g.kind, /*quantum_floor=*/0, /*nodes=*/4, /*rounds=*/6,
+        g.kind, /*nodes=*/4, /*rounds=*/6,
         sim::default_backend(), g.block_size);
     std::uint64_t faults = 0;
     for (const auto& c : r.counters) faults += c.read_faults + c.write_faults;

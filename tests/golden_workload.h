@@ -49,7 +49,6 @@ inline std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t n) {
 }
 
 inline WorkloadResult run_micro_workload(runtime::ProtocolKind kind,
-                                         sim::Time quantum_floor = 0,
                                          int nodes = 4, int rounds = 6,
                                          sim::Backend backend =
                                              sim::default_backend(),
@@ -62,7 +61,6 @@ inline WorkloadResult run_micro_workload(runtime::ProtocolKind kind,
                                          int batch_windows = 0) {
   runtime::MachineConfig cfg =
       runtime::MachineConfig::cm5_blizzard(nodes, block_size);
-  cfg.quantum_floor = quantum_floor;
   cfg.backend = backend;
   cfg.trace.enabled = traced;  // in-memory: tests read the stream directly
   cfg.trace.categories = trace_categories;

@@ -12,8 +12,8 @@
 //     trace digest (equal digests => byte-identical canonical streams);
 //   * randomized soak — 20 runs with PRNG-drawn worker counts, every one
 //     digest-identical to the reference;
-//   * backend equivalence — horizon yields under a quantum floor and a full
-//     Barnes run land on the same canon on kFiber and kParallel.
+//   * backend equivalence — a full Barnes run lands on the same canon on
+//     kFiber and kParallel.
 //
 // Plus the negative control: a planted conservative-PDES bug (a mailbox
 // flush held past its window boundary, check/bughook.h) must make the
@@ -43,14 +43,14 @@ constexpr sim::Time kWindow = sim::microseconds(30);  // = cm5 wire latency
 
 WorkloadResult run_serial_windowed(ProtocolKind kind,
                                    std::uint32_t block_size) {
-  return run_micro_workload(kind, /*quantum_floor=*/0, /*nodes=*/4,
+  return run_micro_workload(kind, /*nodes=*/4,
                             /*rounds=*/6, sim::Backend::kFiber, block_size,
                             /*traced=*/true, trace::kCatAll, kWindow);
 }
 
 WorkloadResult run_parallel(ProtocolKind kind, std::uint32_t block_size,
                             int workers) {
-  return run_micro_workload(kind, /*quantum_floor=*/0, /*nodes=*/4,
+  return run_micro_workload(kind, /*nodes=*/4,
                             /*rounds=*/6, sim::Backend::kParallel, block_size,
                             /*traced=*/true, trace::kCatAll, kWindow,
                             workers);
@@ -276,31 +276,6 @@ TEST(ParallelEquivalenceRanker, CCachedChecksumAndReportBitIdentical) {
 // The two backends differ only in which OS thread drains a lane, so every
 // simulated result — including the trace — must match between the serial
 // fiber engine and the worker pool.
-
-class BackendEquivalenceTest : public ::testing::TestWithParam<ProtocolKind> {
-};
-
-// A nonzero quantum floor exercises horizon yields — extra voluntary control
-// transfers that must also land at identical virtual times on both backends.
-TEST_P(BackendEquivalenceTest, MicroWorkloadWithQuantumFloorBitIdentical) {
-  const auto run = [&](sim::Backend backend, int workers) {
-    return run_micro_workload(GetParam(), /*quantum_floor=*/500, /*nodes=*/4,
-                              /*rounds=*/4, backend, 32, /*traced=*/true,
-                              trace::kCatAll, kWindow, workers);
-  };
-  const WorkloadResult fiber = run(sim::Backend::kFiber, 0);
-  for (int workers : {2, 4}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    expect_equal(fiber, run(sim::Backend::kParallel, workers));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllProtocols, BackendEquivalenceTest,
-    ::testing::ValuesIn(runtime::kAllProtocolKinds),
-    [](const ::testing::TestParamInfo<ProtocolKind>& info) -> std::string {
-      return protocol_suffix(info.param);
-    });
 
 TEST(BackendEquivalenceBarnes, ChecksumAndReportBitIdentical) {
   apps::BarnesParams params;

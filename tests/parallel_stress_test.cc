@@ -39,13 +39,13 @@ constexpr int kNodes = 16;
 constexpr int kRounds = 4;
 
 WorkloadResult run_serial(ProtocolKind kind) {
-  return run_micro_workload(kind, /*quantum_floor=*/0, kNodes, kRounds,
+  return run_micro_workload(kind, kNodes, kRounds,
                             sim::Backend::kFiber, /*block_size=*/32,
                             /*traced=*/true, trace::kCatAll, kWindow);
 }
 
 WorkloadResult run_pool(ProtocolKind kind, int workers, int batch) {
-  return run_micro_workload(kind, /*quantum_floor=*/0, kNodes, kRounds,
+  return run_micro_workload(kind, kNodes, kRounds,
                             sim::Backend::kParallel, /*block_size=*/32,
                             /*traced=*/true, trace::kCatAll, kWindow, workers,
                             batch);

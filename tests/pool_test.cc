@@ -67,8 +67,8 @@ TEST(PoolTest, ConcurrentEnginesMatchSerialRuns) {
       runtime::ProtocolKind::kPredictiveAnticipate,
   };
   auto run_one = [&](int i) {
-    return testutil::run_micro_workload(kinds[i % 3], /*quantum_floor=*/0,
-                                        /*nodes=*/2 + i % 3, /*rounds=*/3);
+    return testutil::run_micro_workload(kinds[i % 3], /*nodes=*/2 + i % 3,
+                                        /*rounds=*/3);
   };
   const auto serial = util::parallel_map(9, 1, run_one);
   const auto parallel = util::parallel_map(9, 4, run_one);

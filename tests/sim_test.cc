@@ -172,27 +172,6 @@ TEST(Processor, DeadlockIsDetected) {
   EXPECT_DEATH(deadlock(), "deadlock");
 }
 
-TEST(Processor, QuantumFloorBatchesYields) {
-  Engine exact;
-  exact.set_quantum_floor(0);
-  Engine coarse;
-  coarse.set_quantum_floor(1000);
-  for (Engine* e : {&exact, &coarse}) {
-    auto& a = e->add_processor();
-    auto& b = e->add_processor();
-    a.start([&a] {
-      for (int i = 0; i < 100; ++i) a.charge(10);
-    });
-    b.start([&b] {
-      for (int i = 0; i < 100; ++i) b.charge(10);
-    });
-    e->run();
-  }
-  // Coarse quantum must yield strictly less often.
-  EXPECT_LT(coarse.processor(0).yield_count(),
-            exact.processor(0).yield_count());
-}
-
 TEST(Engine, TeardownWithNeverRunProcessorDoesNotHang) {
   // A processor whose fiber was created but whose engine never ran must be
   // unwound cleanly by the destructor (kill path).
@@ -207,8 +186,8 @@ TEST(Engine, TeardownWithNeverRunProcessorDoesNotHang) {
 // lifecycle stage: never started, started but never scheduled (engine never
 // ran), and already finished. Each case exercises a distinct destructor path
 // (no fiber at all / Killed unwind / plain free). The shapes cover the
-// legacy run-token loop, the serial windowed lane drain, and lane drains on
-// a live worker pool.
+// legacy single lane, serial windowed lanes, and lane drains on a live
+// worker pool.
 struct EngineShape {
   const char* name;
   Backend backend;
@@ -347,19 +326,26 @@ TEST(FiberBackend, EngineReportsSwitchCounters) {
   EXPECT_GT(e.handoffs(), 0u);
 
   // One processor alone: its blocked context drives the wake events inline
-  // and resumes itself — the zero-switch fast path, never a handoff.
-  Engine solo(Backend::kFiber);
-  auto& p = solo.add_processor();
-  p.start([&p] {
-    for (int i = 0; i < 5; ++i) {
-      p.charge(10);
-      p.block();
-    }
-  });
-  for (Time t = 1; t <= 5; ++t)
-    solo.schedule_at(t * 100, [&p, t] { p.wake(t * 100); });
-  solo.run();
-  EXPECT_GT(solo.direct_resumes(), 0u);
+  // and resumes itself — the zero-switch fast path, never a handoff. On a
+  // windowed lane the wakes at t = 100..500 all fall inside one window, so
+  // they resume directly there too.
+  for (const bool windowed : {false, true}) {
+    SCOPED_TRACE(windowed ? "windowed" : "legacy");
+    Engine solo(Backend::kFiber);
+    if (windowed)
+      solo.enable_windows(/*window=*/1000, /*lanes=*/1, /*workers=*/1);
+    auto& p = solo.add_processor();
+    p.start([&p] {
+      for (int i = 0; i < 5; ++i) {
+        p.charge(10);
+        p.block();
+      }
+    });
+    for (Time t = 1; t <= 5; ++t)
+      solo.schedule_at(t * 100, [&p, t] { p.wake(t * 100); });
+    solo.run();
+    EXPECT_GT(solo.direct_resumes(), 0u);
+  }
 }
 
 }  // namespace

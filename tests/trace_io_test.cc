@@ -25,7 +25,7 @@ using runtime::ProtocolKind;
 
 trace::TraceData sample_trace(ProtocolKind kind = ProtocolKind::kPredictive) {
   const auto r = testutil::run_micro_workload(
-      kind, /*quantum_floor=*/0, /*nodes=*/4, /*rounds=*/3,
+      kind, /*nodes=*/4, /*rounds=*/3,
       sim::default_backend(), /*block_size=*/32, /*traced=*/true);
   return r.trace_data;
 }
@@ -226,6 +226,26 @@ TEST(TraceIo, MissingFileFailsCleanly) {
   std::string err;
   EXPECT_FALSE(trace::read_file("/nonexistent/dir/trace.ptrc", &out, &err));
   EXPECT_FALSE(err.empty());
+}
+
+// A full device fails both ways a write can: a small trace fits the stdio
+// buffer and fails only when fclose flushes it; a large one comes up short
+// in fwrite itself. Either way the FILE is closed once and the call fails
+// with a diagnostic (ASan catches a double close or a leaked FILE).
+TEST(TraceIo, WriteFileToFullDeviceFails) {
+  std::FILE* probe = std::fopen("/dev/full", "wb");
+  if (probe == nullptr) GTEST_SKIP() << "/dev/full is not available";
+  std::fclose(probe);
+  for (const std::size_t events : {std::size_t{4}, std::size_t{100000}}) {
+    SCOPED_TRACE(std::to_string(events) + " events");
+    trace::TraceData t;
+    t.meta.nodes = 2;
+    t.meta.block_size = 32;
+    t.events.resize(events);
+    std::string err;
+    EXPECT_FALSE(trace::write_file(t, "/dev/full", &err));
+    EXPECT_NE(err.find("short write"), std::string::npos) << err;
+  }
 }
 
 // Truncation at every structural boundary and at arbitrary cut points

@@ -156,7 +156,7 @@ TEST(TraceProperty, MicroWorkloadAllProtocols) {
         ProtocolKind::kPredictiveAnticipate, ProtocolKind::kWriteUpdate}) {
     SCOPED_TRACE(runtime::protocol_kind_name(kind));
     const auto r = testutil::run_micro_workload(
-        kind, /*quantum_floor=*/0, /*nodes=*/4, /*rounds=*/6,
+        kind, /*nodes=*/4, /*rounds=*/6,
         sim::default_backend(), /*block_size=*/32, /*traced=*/true);
     ASSERT_TRUE(r.traced);
     check::TraceCapture cap;

@@ -22,7 +22,7 @@ using testutil::run_micro_workload;
 using testutil::WorkloadResult;
 
 WorkloadResult traced_run(ProtocolKind kind, std::uint32_t block_size) {
-  return run_micro_workload(kind, /*quantum_floor=*/0, /*nodes=*/4,
+  return run_micro_workload(kind, /*nodes=*/4,
                             /*rounds=*/6, sim::default_backend(), block_size,
                             /*traced=*/true);
 }
@@ -139,7 +139,7 @@ class TracePurityTest : public ::testing::TestWithParam<ProtocolKind> {};
 
 TEST_P(TracePurityTest, TracedRunBitIdenticalToUntraced) {
   const auto plain = run_micro_workload(GetParam());
-  const auto traced = run_micro_workload(GetParam(), /*quantum_floor=*/0,
+  const auto traced = run_micro_workload(GetParam(),
                                          /*nodes=*/4, /*rounds=*/6,
                                          sim::default_backend(),
                                          /*block_size=*/32, /*traced=*/true);
@@ -192,7 +192,7 @@ TEST(TraceFilter, CategorySubsetOfFullStream) {
 
   const auto full = traced_run(ProtocolKind::kPredictive, 32);
   const auto filtered = run_micro_workload(
-      ProtocolKind::kPredictive, /*quantum_floor=*/0, /*nodes=*/4,
+      ProtocolKind::kPredictive, /*nodes=*/4,
       /*rounds=*/6, sim::default_backend(), /*block_size=*/32,
       /*traced=*/true, cats);
   ASSERT_TRUE(filtered.traced);
