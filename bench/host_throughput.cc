@@ -59,13 +59,15 @@ struct MicroResult {
   stats::HostCounters host;
 };
 
-// Where the worker pool's wall clock went (parallel backend only): lane
-// drains, the post-drain boundary ops, the caller's wait at the window
-// barrier, and how helpers were woken (spin acquisitions vs futex parks).
+// Where the worker pool's wall clock went (parallel backend only): the
+// caller's lane drains, the post-drain boundary ops, the caller's wait at the
+// window barrier, and how helpers were woken (spin acquisitions vs futex
+// parks).
 void print_window_stats(const stats::HostCounters& h) {
   std::printf("  windows: drain=%.1fms boundary=%.1fms barrier_wait=%.1fms "
               "park=%.1fms (%llu parks, %llu spin releases, %llu releases, "
-              "%llu serial windows, %llu adopted drains)\n",
+              "%llu windows on the caller alone, %llu caller lanes in "
+              "released windows)\n",
               h.win_drain_ns / 1e6, h.win_boundary_ns / 1e6,
               h.win_barrier_wait_ns / 1e6, h.win_park_ns / 1e6,
               (unsigned long long)h.win_parks,
@@ -164,9 +166,9 @@ MicroPair run_micro_pair(int nodes, int blocks, int rounds, int reps) {
 // All-lanes-active variant for the parallel worker sweep: every node
 // produces its own blocks and consumes its left neighbor's — the paper's
 // near-neighbor iterative sharing shape. The plain micro workload keeps only
-// 2 of N nodes busy, so the worker pool (correctly) elides every idle lane
-// and runs it on one thread: a worker sweep over it measures workload
-// starvation, not the synchronization hot path. Here every lane drains real
+// 2 of N nodes busy, so the worker pool (correctly) runs its short windows on
+// the caller alone: a worker sweep over it measures workload starvation, not
+// the synchronization hot path. Here every lane drains real
 // protocol work each window and every home node serves requests, so worker
 // scaling is limited by the barrier/staging design — the thing this bench
 // exists to watch.

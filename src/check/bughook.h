@@ -32,13 +32,14 @@ struct BugHooks {
   // which is what lets the same process hold a clean reference.
   bool delay_window_flush = false;
 
-  // Parallel worker pool only (workers > 1): the first helper released in a
-  // run believes its stale sense flag already shows the window complete, so
-  // it arrives at the barrier without draining its lanes (once per run).
-  // Its events execute one window late — per-lane (time, seq) order is
-  // intact, so counters and execution results match, but the window-boundary
-  // trace stamping order diverges and the parallel differential's trace
-  // digest must catch it. Serial runs have no pool and are unaffected.
+  // Parallel worker pool only (workers > 1): the first released helper to
+  // claim a lane other than its window's last runnable lane believes its
+  // stale sense flag already shows the window complete, so it arrives at the
+  // barrier without draining that lane (once per run). The lane's events
+  // execute one window late — per-lane (time, seq) order is intact, so
+  // counters and execution results match, but the window-boundary trace
+  // stamping order diverges and the parallel differential's trace digest
+  // must catch it. Serial runs have no pool and are unaffected.
   bool stale_sense_flag = false;
 
   // Hybrid NodeSet only (machines > 64 nodes): when clearing the last

@@ -16,7 +16,8 @@ CCachedProtocol::CCachedProtocol(sim::Engine& engine, net::Network& net,
       logs_(static_cast<std::size_t>(space.nodes())),
       flush_wait_(static_cast<std::size_t>(space.nodes()), 0),
       flushq_(static_cast<std::size_t>(space.nodes())),
-      pump_scheduled_(static_cast<std::size_t>(space.nodes()), 0) {
+      pump_scheduled_(static_cast<std::size_t>(space.nodes()), 0),
+      cc_(static_cast<std::size_t>(space.nodes())) {
   PRESTO_CHECK(space.block_size() >= 8,
                "ccached needs 8-byte words; block size " << space.block_size());
   const std::uint32_t bpp = space.page_size() / space.block_size();
@@ -123,8 +124,9 @@ void CCachedProtocol::flush_block(int node, mem::BlockId b) {
   if (trace_ != nullptr) [[unlikely]]
     trace_->on_miss_end(node, b, /*is_write=*/true, p.now());
   c.remote_wait += p.now() - t0;
-  ++cc_.flushes;
-  cc_.flushed_entries += count;
+  CcStats& cs = cc_[static_cast<std::size_t>(node)];
+  ++cs.flushes;
+  cs.flushed_entries += count;
 }
 
 void CCachedProtocol::handle_extra(int self, const Msg& m) {
@@ -207,8 +209,20 @@ void CCachedProtocol::apply_flush(int home, const FlushOp& op) {
       std::memcpy(data + e.word * 8, &v, 8);
     }
   }
-  ++cc_.merged_flushes;
-  cc_.merged_entries += op.entries.size();
+  CcStats& cs = cc_[static_cast<std::size_t>(home)];
+  ++cs.merged_flushes;
+  cs.merged_entries += op.entries.size();
+}
+
+CCachedProtocol::CcStats CCachedProtocol::cc_stats() const {
+  CcStats sum;
+  for (const CcStats& cs : cc_) {
+    sum.flushes += cs.flushes;
+    sum.flushed_entries += cs.flushed_entries;
+    sum.merged_flushes += cs.merged_flushes;
+    sum.merged_entries += cs.merged_entries;
+  }
+  return sum;
 }
 
 std::size_t CCachedProtocol::metadata_bytes() const {

@@ -73,7 +73,9 @@ class CCachedProtocol : public StacheProtocol {
     std::uint64_t merged_flushes = 0;  // flushes folded in at homes
     std::uint64_t merged_entries = 0;  // entries folded in at homes
   };
-  const CcStats& cc_stats() const { return cc_; }
+  // Sums of the per-node counters: flushes are counted on the flushing
+  // node, merges at the home, so concurrently drained lanes never share one.
+  CcStats cc_stats() const;
 
   std::size_t metadata_bytes() const override;
 
@@ -117,7 +119,7 @@ class CCachedProtocol : public StacheProtocol {
   std::vector<std::uint8_t> flush_wait_;  // app thread parked on a merge ack
   std::vector<std::deque<FlushOp>> flushq_;
   std::vector<std::uint8_t> pump_scheduled_;
-  CcStats cc_;
+  std::vector<CcStats> cc_;  // per node
 };
 
 }  // namespace presto::proto

@@ -30,7 +30,8 @@ StacheProtocol::StacheProtocol(sim::Engine& engine, net::Network& net,
                                const ProtoCosts& costs, int cluster_nodes)
     : Protocol(engine, net, space, rec, costs),
       dir_(static_cast<std::size_t>(space.nodes())),
-      cluster_(cluster_nodes) {
+      cluster_(cluster_nodes),
+      pend_(static_cast<std::size_t>(space.nodes())) {
   PRESTO_CHECK(cluster_nodes >= 0 && cluster_nodes <= space.nodes(),
                "cluster size " << cluster_nodes << " on a " << space.nodes()
                                << "-node machine");
@@ -38,36 +39,39 @@ StacheProtocol::StacheProtocol(sim::Engine& engine, net::Network& net,
   for (auto& t : dir_) t.configure(bpp);
 }
 
-void StacheProtocol::pend_push(DirEntry& d, int node, bool is_write) {
+void StacheProtocol::pend_push(int home, DirEntry& d, int node,
+                               bool is_write) {
+  PendPool& pool = pend_[static_cast<std::size_t>(home)];
   std::uint32_t idx;
-  if (pend_free_ != kNoPend) {
-    idx = pend_free_;
-    pend_free_ = pend_pool_[idx].next;
+  if (pool.free != kNoPend) {
+    idx = pool.free;
+    pool.free = pool.nodes[idx].next;
   } else {
-    idx = static_cast<std::uint32_t>(pend_pool_.size());
-    pend_pool_.emplace_back();
+    idx = static_cast<std::uint32_t>(pool.nodes.size());
+    pool.nodes.emplace_back();
   }
-  auto& n = pend_pool_[idx];
+  auto& n = pool.nodes[idx];
   n.node = node;
   n.is_write = is_write;
   n.next = kNoPend;
   if (d.pend_tail == kNoPend) {
     d.pend_head = idx;
   } else {
-    pend_pool_[d.pend_tail].next = idx;
+    pool.nodes[d.pend_tail].next = idx;
   }
   d.pend_tail = idx;
 }
 
-std::pair<int, bool> StacheProtocol::pend_pop(DirEntry& d) {
+std::pair<int, bool> StacheProtocol::pend_pop(int home, DirEntry& d) {
   PRESTO_CHECK(d.pend_head != kNoPend, "pend_pop on empty chain");
+  PendPool& pool = pend_[static_cast<std::size_t>(home)];
   const std::uint32_t idx = d.pend_head;
-  auto& n = pend_pool_[idx];
+  auto& n = pool.nodes[idx];
   const std::pair<int, bool> out{n.node, n.is_write};
   d.pend_head = n.next;
   if (d.pend_head == kNoPend) d.pend_tail = kNoPend;
-  n.next = pend_free_;
-  pend_free_ = idx;
+  n.next = pool.free;
+  pool.free = idx;
   return out;
 }
 
@@ -79,7 +83,7 @@ std::size_t StacheProtocol::metadata_bytes() const {
       n += d.readers.heap_bytes();
     });
   }
-  n += pend_pool_.capacity() * sizeof(PendNode);
+  for (const auto& pool : pend_) n += pool.nodes.capacity() * sizeof(PendNode);
   return n;
 }
 
@@ -279,7 +283,7 @@ void StacheProtocol::start_request(int home, mem::BlockId b, int requester,
                static_cast<int>(is_write), static_cast<int>(d.state), d.owner,
                static_cast<int>(d.busy), static_cast<int>(d.has_pending()));
   if (d.busy) {
-    pend_push(d, requester, is_write);
+    pend_push(home, d, requester, is_write);
     return;
   }
   record_request(home, b, requester, is_write);
@@ -398,7 +402,7 @@ void StacheProtocol::finish_transaction(int home, mem::BlockId b) {
   d.req_node = -1;
   d.acks_needed = 0;
   if (d.has_pending()) {
-    const auto [node, is_write] = pend_pop(d);
+    const auto [node, is_write] = pend_pop(home, d);
     // Process the queued request after another handler occupancy slot. The
     // entry stays busy until then: a request arriving in the gap must queue
     // *behind* the dequeued one, or a spinning requester could jump the

@@ -17,8 +17,9 @@
 // (util::BlockTable<DirEntry>) rather than a hash map — a probe is two
 // shifts and an indirection, and phase-repetitive traffic walks dense,
 // cache-resident runs (docs/performance.md §8). Queued requests spill into
-// a pooled FIFO chain (PendPool) instead of a per-entry deque, so
-// steady-state queuing never allocates.
+// a pooled FIFO chain instead of a per-entry deque, so steady-state queuing
+// never allocates. Each home owns its pool, as it owns its directory, so
+// homes drained concurrently by a worker pool share no protocol state.
 #pragma once
 
 #include <cstdint>
@@ -111,9 +112,10 @@ class StacheProtocol : public Protocol {
   void finish_transaction(int home, mem::BlockId b);
   void grant(int home, mem::BlockId b, int requester, mem::Tag tag);
 
-  // Pending-request spill arena: fixed-size nodes recycled via a freelist.
-  void pend_push(DirEntry& d, int node, bool is_write);
-  std::pair<int, bool> pend_pop(DirEntry& d);
+  // Pending-request spill arena of `home` (whose directory holds d):
+  // fixed-size nodes recycled via a freelist.
+  void pend_push(int home, DirEntry& d, int node, bool is_write);
+  std::pair<int, bool> pend_pop(int home, DirEntry& d);
 
   // Hook for the predictive protocol: called for every request the home
   // processes (all of which involve communication — purely local accesses
@@ -172,8 +174,12 @@ class StacheProtocol : public Protocol {
     bool is_write = false;
     std::uint32_t next = kNoPend;
   };
-  std::vector<PendNode> pend_pool_;
-  std::uint32_t pend_free_ = kNoPend;
+  struct PendPool {
+    std::vector<PendNode> nodes;
+    std::uint32_t free = kNoPend;
+  };
+  // pend_[home]: that home's pending-request arena, indexed like dir_.
+  std::vector<PendPool> pend_;
 };
 
 }  // namespace presto::proto

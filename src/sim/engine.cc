@@ -176,9 +176,9 @@ FiberContext* Engine::drive_exit_target(int lane_id) {
 
 void Engine::drain_lane(int lane_id) {
   Lane& l = lane(lane_id);
-  // Under a worker pool a lane may be drained by a different thread each
-  // window (adoption); the saved drain-loop context must be re-bound to the
-  // thread actually draining (TSan fiber-handle refresh; no-op otherwise).
+  // Under a worker pool a lane may be claimed by a different thread each
+  // window; the saved drain-loop context must be re-bound to the thread
+  // actually draining (TSan fiber-handle refresh; no-op otherwise).
   bind_host_context(l.sched_ctx);
   const int prev_lane = tls_lane_;
   const Engine* prev_engine = tls_engine_;

@@ -26,12 +26,14 @@
 // net::Network::min_latency), drains every lane independently up to its cap,
 // and then runs the registered *boundary operations* in a fixed slot order —
 // network mailbox flush, space growth gates, barrier scan, oracle replay,
-// trace sequence stamping. Because lanes share no mutable state during a
-// drain (all cross-node effects are staged and applied at the boundary), the
-// lanes may be drained in any order — or concurrently by a worker pool
-// (Backend::kParallel, sim/parallel.h) — and the result is bit-identical to
-// draining them serially in lane order. Windowed mode is opt-in; the legacy
-// single lane keeps every legacy golden number.
+// trace sequence stamping. Lanes share no mutable state during a drain: all
+// cross-node effects are staged and applied at the boundary, and protocol
+// state lives with its home or node (Stache's pending-request pools are per
+// home, ccached's counters per node). So the lanes may be drained in any
+// order — or concurrently by a worker pool (Backend::kParallel,
+// sim/parallel.h) — and the result is bit-identical to draining them
+// serially in lane order. Windowed mode is opt-in; the legacy single lane
+// keeps every legacy golden number.
 #pragma once
 
 #include <cstdint>

@@ -128,10 +128,11 @@ void fiber_switch(FiberContext& from, FiberContext& to);
 
 // Re-binds a host-thread context to the calling thread. A windowed lane's
 // drain-loop context may be entered from a different worker thread each
-// window (lane adoption, sim/parallel.h); under TSan the context's fiber
-// handle is lazily captured from whichever thread first switched away from
-// it, so before draining on a possibly-different thread the handle must be
-// refreshed to the current thread's. No-op outside TSan builds.
+// window (workers claim lanes from a shared cursor, sim/parallel.h); under
+// TSan the context's fiber handle is lazily captured from whichever thread
+// first switched away from it, so before draining on a possibly-different
+// thread the handle must be refreshed to the current thread's. No-op outside
+// TSan builds.
 void bind_host_context(FiberContext& ctx);
 
 // Final switch out of a context that will never be resumed (fiber entry

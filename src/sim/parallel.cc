@@ -17,20 +17,12 @@ namespace {
 constexpr int kSpinPause = 1024;
 constexpr int kSpinYield = 64;
 
-// A runnable lane's work estimate for one window: its pending-entry count,
-// capped. The cap matters because a heap holds every future event of the
-// lane while a single window executes only the few that fall inside it —
-// uncapped, two deep lanes would look like a parallel-worthy window forever
-// and a mostly-idle machine would eat a release/arrival round trip every
-// window. With the cap, a worker only looks release-worthy when several of
-// its lanes are runnable at once.
-constexpr std::uint32_t kLaneEstCap = 8;
-// A window whose total estimate is below this runs entirely on the caller:
-// a release/arrival round trip costs more than draining this many events.
-constexpr std::uint32_t kSerialGrain = 64;
-// A helper whose runnable lanes' estimate is below this is not released;
-// the caller adopts its lanes instead.
-constexpr std::uint32_t kAdoptGrain = 16;
+// Drain time after which a window that still has unclaimed lanes releases
+// the helpers. presto_bench's sim.parallel.ns_per_window probe measures a
+// window's fixed cost (watermark, caps, drain loop, boundary) at about
+// 0.4 us; 5 us is about 12x that, so a window escalates only once its drain
+// work dwarfs the release/arrival round trip it is about to pay for.
+constexpr std::uint64_t kEscalateNs = 5000;
 
 inline void cpu_pause() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -54,8 +46,7 @@ WindowPool::WindowPool(Engine& engine, int workers, int max_batch)
   PRESTO_CHECK(workers_ >= 2, "WindowPool needs >= 2 workers, got " << workers_);
   slots_.reserve(static_cast<std::size_t>(workers_ - 1));
   for (int w = 1; w < workers_; ++w) slots_.push_back(std::make_unique<Slot>());
-  work_est_.resize(static_cast<std::size_t>(workers_));
-  released_.resize(static_cast<std::size_t>(workers_));
+  runnable_.reserve(static_cast<std::size_t>(engine_.num_lanes()));
   threads_.reserve(static_cast<std::size_t>(workers_ - 1));
   for (int w = 1; w < workers_; ++w)
     threads_.emplace_back([this, w] { worker_main(w); });
@@ -118,85 +109,67 @@ void WindowPool::worker_main(int w) {
     seen = await_epoch(slot, seen, allow_spin);
     if (stop_.load(std::memory_order_relaxed)) return;
     streak = slot.parks == parks_before ? streak + 1 : 1;
-    if (check::bug_hooks().stale_sense_flag &&
-        !stale_sense_fired_.exchange(true, std::memory_order_relaxed))
-        [[unlikely]] {
-      // Planted bug (see check/bughook.h): arrive without draining, as if a
-      // stale sense flag already showed the window complete.
-      if (arrivals_.fetch_sub(1, std::memory_order_release) == 1)
-        arrivals_.notify_one();
-      continue;
+    const auto n = static_cast<std::uint32_t>(runnable_.size());
+    for (std::uint32_t i;
+         (i = cursor_.fetch_add(1, std::memory_order_relaxed)) < n;) {
+      // Planted bug (see check/bughook.h): arrive without draining a claimed
+      // lane, as if a stale sense flag already showed the window complete.
+      // Never the window's last runnable lane: its events, stamped one
+      // window late, would land in the same node-major trace position.
+      if (check::bug_hooks().stale_sense_flag && i + 1 < n &&
+          !stale_sense_fired_.exchange(true, std::memory_order_relaxed))
+          [[unlikely]]
+        break;
+      engine_.drain_lane(runnable_[i]);
     }
-    const int nlanes = engine_.num_lanes();
-    for (int i = w; i < nlanes; i += workers_) engine_.drain_lane(i);
     if (arrivals_.fetch_sub(1, std::memory_order_release) == 1)
       arrivals_.notify_one();
   }
 }
 
 void WindowPool::run_window() {
-  const int nlanes = engine_.num_lanes();
-  // Classify: how much pending work each worker's runnable lanes hold.
-  std::fill(work_est_.begin(), work_est_.end(), 0u);
-  std::uint64_t total = 0;
-  for (int i = 0; i < nlanes; ++i) {
+  runnable_.clear();
+  for (int i = 0; i < engine_.num_lanes(); ++i) {
     const Engine::Lane& l = engine_.lane(i);
-    if (l.heap.empty() || l.heap[0].t >= l.cap) continue;
-    const auto est = static_cast<std::uint32_t>(
-        l.heap.size() < kLaneEstCap ? l.heap.size() : kLaneEstCap);
-    work_est_[static_cast<std::size_t>(i % workers_)] += est;
-    total += est;
+    if (!l.heap.empty() && l.heap[0].t < l.cap) runnable_.push_back(i);
   }
+  const auto n = static_cast<std::uint32_t>(runnable_.size());
 
-  int nreleased = 0;
-  std::fill(released_.begin(), released_.end(), std::uint8_t{0});
-  if (total > kSerialGrain) {
-    for (int w = 1; w < workers_; ++w) {
-      if (work_est_[static_cast<std::size_t>(w)] >= kAdoptGrain) {
-        released_[static_cast<std::size_t>(w)] = 1;
-        ++nreleased;
-      }
-    }
+  // The caller alone, in list order, until the list is done or the window
+  // has outlasted the escalation time.
+  const std::uint64_t t0 = now_ns();
+  std::uint64_t t = t0;
+  std::uint32_t next = 0;
+  while (next < n && t - t0 <= kEscalateNs) {
+    engine_.drain_lane(runnable_[next++]);
+    t = now_ns();
   }
-
-  if (nreleased == 0) {
-    // Serial fast path: the whole window on the caller, no atomics.
-    const std::uint64_t t0 = now_ns();
-    for (int i = 0; i < nlanes; ++i) {
-      if (i % workers_ != 0) {
-        const Engine::Lane& l = engine_.lane(i);
-        if (!l.heap.empty() && l.heap[0].t < l.cap) ++stats_.adopted_drains;
-      }
-      engine_.drain_lane(i);
-    }
-    stats_.drain_ns += now_ns() - t0;
+  if (next == n) {
+    stats_.drain_ns += t - t0;
     ++stats_.serial_windows;
     return;
   }
 
-  // The relaxed store is ordered before the epoch release stores below; a
-  // helper's acquire on its epoch therefore sees the fresh arrival count
-  // (and every lane cap the engine set before calling us).
-  arrivals_.store(nreleased, std::memory_order_relaxed);
-  for (int w = 1; w < workers_; ++w) {
-    if (!released_[static_cast<std::size_t>(w)]) continue;
-    Slot& s = *slots_[static_cast<std::size_t>(w - 1)];
+  // Escalate. The relaxed stores are ordered before the epoch release
+  // stores below; a helper's acquire on its epoch therefore sees the fresh
+  // cursor, arrival count and lane list (and every lane cap the engine set
+  // before calling us).
+  const int helpers = static_cast<int>(
+      std::min<std::uint32_t>(static_cast<std::uint32_t>(workers_ - 1),
+                              n - next));
+  cursor_.store(next, std::memory_order_relaxed);
+  arrivals_.store(helpers, std::memory_order_relaxed);
+  for (int w = 0; w < helpers; ++w) {
+    Slot& s = *slots_[static_cast<std::size_t>(w)];
     s.epoch.fetch_add(1, std::memory_order_release);
     s.epoch.notify_one();
   }
-  stats_.releases += static_cast<std::uint64_t>(nreleased);
-
-  // Drain own lanes plus any unreleased helper's runnable lanes (adoption),
-  // concurrently with the released helpers on disjoint lanes.
-  const std::uint64_t t0 = now_ns();
-  for (int i = 0; i < nlanes; ++i) {
-    const int owner = i % workers_;
-    if (owner != 0 && released_[static_cast<std::size_t>(owner)]) continue;
-    if (owner != 0) {
-      const Engine::Lane& l = engine_.lane(i);
-      if (!l.heap.empty() && l.heap[0].t < l.cap) ++stats_.adopted_drains;
-    }
-    engine_.drain_lane(i);
+  stats_.releases += static_cast<std::uint64_t>(helpers);
+  stats_.adopted_drains += next;
+  for (std::uint32_t i;
+       (i = cursor_.fetch_add(1, std::memory_order_relaxed)) < n;) {
+    engine_.drain_lane(runnable_[i]);
+    ++stats_.adopted_drains;
   }
   const std::uint64_t t1 = now_ns();
   stats_.drain_ns += t1 - t0;
@@ -204,19 +177,19 @@ void WindowPool::run_window() {
   // Wait for arrivals. All decrements form one release sequence on
   // arrivals_, so the acquire that observes zero orders every helper's lane
   // writes before the boundary ops that follow this call.
-  int n = arrivals_.load(std::memory_order_acquire);
-  while (n != 0) {
-    for (int i = 0; i < kSpinPause && n != 0; ++i) {
+  int a = arrivals_.load(std::memory_order_acquire);
+  while (a != 0) {
+    for (int i = 0; i < kSpinPause && a != 0; ++i) {
       cpu_pause();
-      n = arrivals_.load(std::memory_order_acquire);
+      a = arrivals_.load(std::memory_order_acquire);
     }
-    for (int i = 0; i < kSpinYield && n != 0; ++i) {
+    for (int i = 0; i < kSpinYield && a != 0; ++i) {
       std::this_thread::yield();
-      n = arrivals_.load(std::memory_order_acquire);
+      a = arrivals_.load(std::memory_order_acquire);
     }
-    if (n != 0) {
-      arrivals_.wait(n, std::memory_order_acquire);
-      n = arrivals_.load(std::memory_order_acquire);
+    if (a != 0) {
+      arrivals_.wait(a, std::memory_order_acquire);
+      a = arrivals_.load(std::memory_order_acquire);
     }
   }
   stats_.barrier_wait_ns += now_ns() - t1;

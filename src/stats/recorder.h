@@ -65,14 +65,15 @@ struct HostCounters {
   // all-zero otherwise). Mirrors sim::WindowPoolStats — where the caller's
   // wall time inside run_window goes, and how the helpers were driven.
   std::uint64_t win_barrier_wait_ns = 0;  // caller waiting for helper arrivals
-  std::uint64_t win_drain_ns = 0;         // caller draining own/adopted lanes
+  std::uint64_t win_drain_ns = 0;         // caller draining lanes it claimed
   std::uint64_t win_boundary_ns = 0;      // serial boundary ops (incl. flush)
   std::uint64_t win_park_ns = 0;          // helpers parked in futex waits
   std::uint64_t win_parks = 0;            // helper futex parks
   std::uint64_t win_spin_releases = 0;    // releases acquired by spin alone
   std::uint64_t win_releases = 0;         // helper releases across windows
-  std::uint64_t win_serial_windows = 0;   // windows run wholly on the caller
-  std::uint64_t win_adopted_drains = 0;   // helper lanes the caller drained
+  std::uint64_t win_serial_windows = 0;   // windows that never released helpers
+  std::uint64_t win_adopted_drains = 0;   // lanes the caller drained in windows
+                                          // that released helpers
 };
 
 class Recorder {

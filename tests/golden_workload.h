@@ -29,8 +29,8 @@ struct WorkloadResult {
   std::uint64_t cc_entries = 0;
   // Host-side counters (never part of equivalence — they describe how the
   // host ran the simulation, not what was simulated). Tests use the win_*
-  // fields to prove a parallel run actually released helpers / elided lanes
-  // rather than passing vacuously through the serial fast path.
+  // fields to prove a parallel run actually released helpers rather than
+  // running every window on the caller alone.
   stats::HostCounters host;
   // Filled only when the run was traced (the golden-trace tier).
   bool traced = false;
@@ -46,6 +46,43 @@ inline std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t n) {
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+// Snapshot of a finished run: per-node counters, network totals, exec
+// time, host counters, an FNV-1a hash over every node's view and tags, the
+// ccached flush counters and, when traced, the trace.
+inline WorkloadResult collect_result(runtime::System& sys) {
+  const runtime::MachineConfig& cfg = sys.config();
+  auto& space = sys.space();
+  WorkloadResult res;
+  for (int n = 0; n < cfg.nodes; ++n)
+    res.counters.push_back(sys.recorder().node(n));
+  res.msgs = sys.network().messages_sent();
+  res.bytes = sys.network().bytes_sent();
+  res.events = sys.engine().events_executed();
+  res.exec = sys.exec_time();
+  res.host = sys.recorder().host();
+  if (auto* cc = sys.ccached(); cc != nullptr) {
+    const auto cs = cc->cc_stats();
+    res.cc_flushes = cs.flushes;
+    res.cc_entries = cs.flushed_entries;
+  }
+  std::uint64_t h = 1469598103934665603ULL;
+  for (int n = 0; n < cfg.nodes; ++n) {
+    for (std::uint64_t b = 0; b < space.num_blocks(); ++b) {
+      h = fnv1a(h, space.block_data(n, b), cfg.mem.block_size);
+      const auto t = static_cast<std::uint8_t>(space.tag(n, b));
+      h = fnv1a(h, &t, 1);
+    }
+  }
+  res.mem_hash = h;
+  if (sys.tracer() != nullptr) {
+    res.traced = true;
+    res.trace_digest = sys.tracer()->digest();
+    res.trace_summary = sys.tracer()->summary();
+    res.trace_data = sys.tracer()->build(cfg.costs, cfg.net);
+  }
+  return res;
 }
 
 inline WorkloadResult run_micro_workload(runtime::ProtocolKind kind,
@@ -119,29 +156,7 @@ inline WorkloadResult run_micro_workload(runtime::ProtocolKind kind,
     }
   });
 
-  WorkloadResult res;
-  for (int n = 0; n < nodes; ++n) res.counters.push_back(sys.recorder().node(n));
-  res.msgs = sys.network().messages_sent();
-  res.bytes = sys.network().bytes_sent();
-  res.events = sys.engine().events_executed();
-  res.exec = sys.exec_time();
-  res.host = sys.recorder().host();
-  std::uint64_t h = 1469598103934665603ULL;
-  for (int n = 0; n < nodes; ++n) {
-    for (std::uint64_t b = 0; b < space.num_blocks(); ++b) {
-      h = fnv1a(h, space.block_data(n, b), bsz);
-      const auto t = static_cast<std::uint8_t>(space.tag(n, b));
-      h = fnv1a(h, &t, 1);
-    }
-  }
-  res.mem_hash = h;
-  if (sys.tracer() != nullptr) {
-    res.traced = true;
-    res.trace_digest = sys.tracer()->digest();
-    res.trace_summary = sys.tracer()->summary();
-    res.trace_data = sys.tracer()->build(cfg.costs, cfg.net);
-  }
-  return res;
+  return collect_result(sys);
 }
 
 // Commutative-update micro workload for the ccached golden pins: one page
@@ -196,33 +211,7 @@ inline WorkloadResult run_cc_micro_workload(runtime::ProtocolKind kind,
     }
   });
 
-  WorkloadResult res;
-  for (int n = 0; n < nodes; ++n) res.counters.push_back(sys.recorder().node(n));
-  res.msgs = sys.network().messages_sent();
-  res.bytes = sys.network().bytes_sent();
-  res.events = sys.engine().events_executed();
-  res.exec = sys.exec_time();
-  res.host = sys.recorder().host();
-  if (auto* cc = sys.ccached(); cc != nullptr) {
-    res.cc_flushes = cc->cc_stats().flushes;
-    res.cc_entries = cc->cc_stats().flushed_entries;
-  }
-  std::uint64_t h = 1469598103934665603ULL;
-  for (int n = 0; n < nodes; ++n) {
-    for (std::uint64_t b = 0; b < space.num_blocks(); ++b) {
-      h = fnv1a(h, space.block_data(n, b), cfg.mem.block_size);
-      const auto t = static_cast<std::uint8_t>(space.tag(n, b));
-      h = fnv1a(h, &t, 1);
-    }
-  }
-  res.mem_hash = h;
-  if (sys.tracer() != nullptr) {
-    res.traced = true;
-    res.trace_digest = sys.tracer()->digest();
-    res.trace_summary = sys.tracer()->summary();
-    res.trace_data = sys.tracer()->build(cfg.costs, cfg.net);
-  }
-  return res;
+  return collect_result(sys);
 }
 
 }  // namespace presto::testutil
