@@ -14,21 +14,19 @@ using namespace presto;
 
 namespace {
 
-struct Result {
-  stats::Report report;
-  double checksum = 0.0;
-};
-
 template <typename Agg, typename OwnedFn>
-Result run_stencil(const std::string& label, runtime::ProtocolKind kind,
-                   bool directives, int nodes, std::size_t n, int iters,
-                   OwnedFn owned, const trace::TraceConfig& tcfg) {
-  auto machine = runtime::MachineConfig::cm5_blizzard(nodes, 32);
+apps::AppResult run_stencil(const std::string& label,
+                            runtime::ProtocolKind kind, bool directives,
+                            const bench::Scale& scale, std::size_t n,
+                            int iters, OwnedFn owned,
+                            const trace::TraceConfig& tcfg) {
+  auto machine = runtime::MachineConfig::cm5_blizzard(scale.nodes, 32);
   machine.trace = tcfg;
+  scale.apply(machine);
   runtime::System sys(machine, kind);
   Agg a = Agg::create(sys.space(), n, n);
   Agg b = Agg::create(sys.space(), n, n);
-  Result result;
+  apps::AppResult result;
   sys.run([&](runtime::NodeCtx& c) {
     owned(c, a, [&](std::size_t i, std::size_t j) {
       a.set(c, i, j, static_cast<float>(i * 31 + j));
@@ -91,25 +89,20 @@ int main(int argc, char** argv) {
   };
 
   std::vector<stats::Report> reports;
-  std::vector<double> checksums;
+  std::vector<apps::AppResult> results;
   for (const bool opt : {false, true}) {
     const auto kind = opt ? runtime::ProtocolKind::kPredictive
                           : runtime::ProtocolKind::kStache;
     const char* suffix = opt ? " + predictive" : " (stache)";
-    auto rb = run_stencil<runtime::Aggregate2D<float>>(
-        std::string("row-block") + suffix, kind, opt, scale.nodes, n, iters,
-        rowblock_owned, trace_cfg);
-    auto ti = run_stencil<runtime::TiledAggregate2D<float>>(
-        std::string("tiled") + suffix, kind, opt, scale.nodes, n, iters,
-        tiled_owned, trace_cfg);
-    reports.push_back(rb.report);
-    reports.push_back(ti.report);
-    checksums.push_back(rb.checksum);
-    checksums.push_back(ti.checksum);
+    results.push_back(run_stencil<runtime::Aggregate2D<float>>(
+        std::string("row-block") + suffix, kind, opt, scale, n, iters,
+        rowblock_owned, trace_cfg));
+    results.push_back(run_stencil<runtime::TiledAggregate2D<float>>(
+        std::string("tiled") + suffix, kind, opt, scale, n, iters,
+        tiled_owned, trace_cfg));
   }
-  for (double cs : checksums)
-    if (cs != checksums.front())
-      std::fprintf(stderr, "CHECKSUM MISMATCH across distributions!\n");
+  for (const auto& r : results) reports.push_back(r.report);
+  bench::check_equal_checksums(results, scale.checksum_tol());
 
   bench::print_results(
       "Ablation: data distribution (Jacobi stencil, " + std::to_string(n) +

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     reports.push_back(r.report);
     results.push_back(std::move(r));
   }
-  bench::check_equal_checksums(results);
+  bench::check_equal_checksums(results, scale.checksum_tol());
 
   bench::print_results(
       "Ablation: incremental schedules vs rebuild (Adaptive " +

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     reports.push_back(r.report);
     results.push_back(std::move(r));
   }
-  bench::check_equal_checksums(results);
+  bench::check_equal_checksums(results, scale.checksum_tol());
 
   bench::print_results(
       "Figure 6: Barnes (" + std::to_string(params.bodies) + " bodies, " +

@@ -14,6 +14,9 @@
 //   * "ranker" — pagerank push over a drifting graph, run under stache and
 //     ccached: the merge-traffic extreme, exercising the commutative-update
 //     log/flush path against the invalidation path on the same program.
+//   * "barrier" and "lock" — back-to-back barriers on the 32-node machine,
+//     and shared-lock handoffs among 4 nodes: the synchronization runtime,
+//     which presto_bench's unit-cost probes do not cover. Printed only.
 //
 // Emits results/BENCH_host.json with host events/sec (micro), wall-clock
 // (barnes/water/ranker), and the metadata-layer counters (directory probes,
@@ -34,6 +37,7 @@
 #include "apps/barnes/barnes.h"
 #include "apps/ranker/ranker.h"
 #include "apps/water/water.h"
+#include "runtime/lock.h"
 #include "runtime/system.h"
 #include "util/check.h"
 #include "util/cli.h"
@@ -315,6 +319,56 @@ AppBenchResult run_ranker_shaped(int nodes, std::size_t vertices, int iters,
   return from_app(r, seconds_since(t0));
 }
 
+// Host cost per operation of the synchronization runtime, with the simulated
+// cost of one operation next to it.
+struct SyncResult {
+  double host_us_per_op = 0.0;
+  double sim_us_per_op = 0.0;
+};
+
+// `rounds` barriers across `nodes` nodes with no work between them.
+SyncResult run_barrier_latency(int nodes, int rounds) {
+  runtime::System sys(runtime::MachineConfig::cm5_blizzard(nodes, 32),
+                      runtime::ProtocolKind::kStache);
+  sim::Time exec = 0;
+  const auto t0 = Clock::now();
+  sys.run([&](runtime::NodeCtx& c) {
+    for (int r = 0; r < rounds; ++r) c.barrier();
+    if (c.id() == 0) exec = c.proc().now();
+  });
+  const double host_s = seconds_since(t0);
+  SyncResult res;
+  res.host_us_per_op = host_s * 1e6 / rounds;
+  res.sim_us_per_op = sim::to_micros(exec) / rounds;
+  return res;
+}
+
+// Each round, every node takes one shared lock in turn, bumps a counter
+// homed on node 0 under it, and meets the others at a barrier.
+SyncResult run_lock_handoff(int nodes, int rounds) {
+  runtime::System sys(runtime::MachineConfig::cm5_blizzard(nodes, 32),
+                      runtime::ProtocolKind::kStache);
+  auto lock = runtime::SharedLock::create(sys.space(), 0);
+  const mem::Addr counter = sys.space().alloc_on_node(0, 64);
+  const auto t0 = Clock::now();
+  sys.run([&](runtime::NodeCtx& c) {
+    for (int r = 0; r < rounds; ++r) {
+      lock.acquire(c);
+      c.rmw<std::uint64_t>(counter, [](std::uint64_t& v) { ++v; });
+      lock.release(c);
+      c.barrier();
+    }
+  });
+  const double host_s = seconds_since(t0);
+  const int handoffs = nodes * rounds;
+  SyncResult res;
+  res.host_us_per_op = host_s * 1e6 / handoffs;
+  res.sim_us_per_op =
+      sim::to_micros(sys.recorder().sum(&stats::NodeCounters::lock_wait)) /
+      handoffs;
+  return res;
+}
+
 // Historical numbers at the default scale so BENCH_host.json always records
 // the trajectory; update alongside any future hot-path change.
 //   * seed: std::function event queue, closure-based message delivery,
@@ -535,6 +589,16 @@ int main(int argc, char** argv) {
                   ? static_cast<double>(ranker_cc.exec_ns) /
                         static_cast<double>(ranker_st.exec_ns)
                   : 0.0);
+
+  const int sync_rounds = quick ? 64 : 1024;
+  const auto barrier = run_barrier_latency(32, sync_rounds);
+  std::printf("barrier: nodes=32 rounds=%d -> %.2f us host per barrier "
+              "(%.2f us simulated)\n",
+              sync_rounds, barrier.host_us_per_op, barrier.sim_us_per_op);
+  const auto lock = run_lock_handoff(4, sync_rounds);
+  std::printf("lock: nodes=4 rounds=%d -> %.2f us host per handoff "
+              "(%.2f us simulated lock wait)\n",
+              sync_rounds, lock.host_us_per_op, lock.sim_us_per_op);
 
   // Metadata scaling spot-checks: resident bytes vs the dense-layout
   // equivalent across the machine widths the scale sweep covers in depth

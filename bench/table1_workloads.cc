@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
         results.begin() + (a + 1) * nprotos);
     // Every protocol must compute the same answer for the same program —
     // schedules change when data moves, never what a read observes.
-    bench::check_equal_checksums(per_app);
+    bench::check_equal_checksums(per_app, scale.checksum_tol());
     for (int p = 0; p < nprotos; ++p) {
       const stats::Report& r = per_app[static_cast<std::size_t>(p)].report;
       t.add_row({app_names[a],

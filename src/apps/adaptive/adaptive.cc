@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "proto/writeupdate.h"
 #include "runtime/aggregate.h"
 #include "runtime/system.h"
 #include "util/check.h"
@@ -169,6 +170,12 @@ AppResult run_adaptive(const AdaptiveParams& params,
   std::uint64_t refined = 0;
 
   sys.run([&](NodeCtx& c) {
+    // Under write-update, publish each owner-write phase (cells and the
+    // quad-trees they own) to its recorded readers before the barrier.
+    auto* wu = dynamic_cast<proto::WriteUpdateProtocol*>(&c.protocol());
+    const auto publish = [&] {
+      if (wu != nullptr) wu->wu_publish(c.id(), 0, c.space().size_bytes());
+    };
     // Initial condition: interior zero; the hot left-edge boundary drives a
     // steep front that relaxation propagates rightward, refining as it goes.
     for (const bool red_phase : {true, false}) {
@@ -178,6 +185,7 @@ AppResult run_adaptive(const AdaptiveParams& params,
         for (std::size_t k = 0; k < mesh.n / 2; ++k)
           plane.set(c, i, k, Cell{});
     }
+    publish();
     c.barrier();
 
     for (int it = 0; it < params.iters; ++it) {
@@ -187,9 +195,11 @@ AppResult run_adaptive(const AdaptiveParams& params,
       }
       if (directives) c.phase(kPhaseRed);
       sweep(c, mesh, /*red_phase=*/true, params);
+      publish();
       c.barrier();
       if (directives) c.phase(kPhaseBlack);
       sweep(c, mesh, /*red_phase=*/false, params);
+      publish();
       c.barrier();
     }
 

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "apps/water/water_common.h"
+#include "proto/writeupdate.h"
 #include "runtime/aggregate.h"
 #include "runtime/system.h"
 
@@ -34,11 +35,18 @@ AppResult run_water(const WaterParams& params,
     const auto [lo, hi] = pos.range(c.id());
     std::vector<Vec3> vel(hi - lo);
     std::vector<double> force(3 * n, 0.0);  // private accumulation, all n
+    // Under write-update, publish each owner-write phase to its recorded
+    // readers before they consume it.
+    auto* wu = dynamic_cast<proto::WriteUpdateProtocol*>(&c.protocol());
+    const auto publish = [&] {
+      if (wu != nullptr) wu->wu_publish(c.id(), 0, c.space().size_bytes());
+    };
 
     for (std::size_t i = lo; i < hi; ++i) {
       pos.set(c, i, lattice_position(i, n, box.length));
       vel[i - lo] = thermal_velocity(i, c.machine().seed);
     }
+    publish();
     c.barrier();
 
     double energy_trace = 0.0;
@@ -93,6 +101,7 @@ AppResult run_water(const WaterParams& params,
         pos.set(c, i, p);
         ke += 0.5 * (v.x * v.x + v.y * v.y + v.z * v.z);
       }
+      publish();
       const double total_ke = c.reduce_sum(ke);
       const double total_pe = c.reduce_sum(pe);
       energy_trace += total_ke + total_pe;

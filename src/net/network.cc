@@ -1,7 +1,5 @@
 #include "net/network.h"
 
-#include <cstring>
-
 #include "check/bughook.h"
 #include "util/check.h"
 
@@ -53,16 +51,6 @@ Network::Channel& Network::sparse_channel(int src, int dst) {
   return sc.chunks[idx / kSparseChunk][idx % kSparseChunk];
 }
 
-std::size_t Network::channels_used() const {
-  std::size_t n = 0;
-  for (const auto& ch : channels_)
-    if (ch.used) ++n;
-  for (const auto& sc : sparse_)
-    for (std::uint32_t i = 0; i < sc.count; ++i)
-      if (sc.chunks[i / kSparseChunk][i % kSparseChunk].used) ++n;
-  return n;
-}
-
 std::size_t Network::metadata_bytes() const {
   std::size_t n = channels_.capacity() * sizeof(Channel);
   for (const auto& ch : channels_) n += ch.ring.capacity_bytes();
@@ -73,13 +61,10 @@ std::size_t Network::metadata_bytes() const {
     for (std::uint32_t i = 0; i < sc.count; ++i)
       n += sc.chunks[i / kSparseChunk][i % kSparseChunk].ring.capacity_bytes();
   }
-  for (const auto& ob : outboxes_) {
-    n += ob.entries.capacity() * sizeof(Staged);
-    if (ob.open != nullptr) n += sizeof(StagedArena) + ob.open->bytes.capacity();
-    for (const auto& a : ob.sealed) n += sizeof(StagedArena) + a->bytes.capacity();
-    for (const auto& a : ob.free) n += sizeof(StagedArena) + a->bytes.capacity();
-  }
-  n += holdover_.entries.capacity() * sizeof(Staged);
+  for (const Outbox& ob : outboxes_)
+    n += ob.entries.capacity() * sizeof(Staged) + ob.bytes.capacity();
+  n += holdover_.entries.capacity() * sizeof(Staged) +
+       holdover_.bytes.capacity();
   return n;
 }
 
@@ -94,7 +79,6 @@ sim::Time Network::route(int src, int dst, std::size_t bytes,
   sim::Time arrival = depart + latency;
 
   Channel& ch = channel(src, dst);
-  ch.used = true;
   if (arrival <= ch.last_arrival) arrival = ch.last_arrival + 1;
   ch.last_arrival = arrival;
 
@@ -127,24 +111,17 @@ sim::Time Network::send_msg(int src, int dst, std::size_t wire_bytes,
   if (src != dst && engine_.in_lane_context()) {
     PRESTO_CHECK(engine_.current_lane() == src,
                  "lane " << engine_.current_lane() << " sending as " << src);
-    // Single copy: header+payload land contiguously in the source's open
-    // arena; the boundary flush schedules deliveries that read them in
-    // place (no ring push, no second copy).
     Outbox& ob = outboxes_[static_cast<std::size_t>(src)];
-    if (ob.open == nullptr) ob.open = std::make_unique<StagedArena>();
-    StagedArena& a = *ob.open;
-    const std::size_t off = a.bytes.size();
+    const std::size_t off = ob.bytes.size();
     const auto* h = static_cast<const std::byte*>(header);
-    a.bytes.insert(a.bytes.end(), h, h + header_len);
+    ob.bytes.insert(ob.bytes.end(), h, h + header_len);
     if (payload_len > 0) {
       const auto* p = static_cast<const std::byte*>(payload);
-      a.bytes.insert(a.bytes.end(), p, p + payload_len);
+      ob.bytes.insert(ob.bytes.end(), p, p + payload_len);
     }
-    ++ob.open_records;
-    ob.entries.push_back(Staged{&a, dst, arrival, /*is_record=*/true,
-                                static_cast<std::uint32_t>(header_len),
-                                static_cast<std::uint32_t>(payload_len), off,
-                                sim::InlineFn()});
+    ob.entries.push_back(
+        Staged{dst, static_cast<std::uint32_t>(header_len + payload_len), off,
+               arrival});
     return arrival;
   }
   Channel& ch = channel(src, dst);
@@ -153,90 +130,36 @@ sim::Time Network::send_msg(int src, int dst, std::size_t wire_bytes,
   return arrival;
 }
 
-void Network::stage_fn(int src, int dst, sim::Time arrival, sim::InlineFn fn) {
-  PRESTO_CHECK(engine_.current_lane() == src,
-               "lane " << engine_.current_lane() << " sending as " << src);
-  outboxes_[static_cast<std::size_t>(src)].entries.push_back(
-      Staged{nullptr, dst, arrival, /*is_record=*/false, 0, 0, 0,
-             std::move(fn)});
-}
-
-void Network::seal_open(Outbox& ob) {
-  if (ob.open_records == 0) return;
-  // The count is the arena's delivery obligation; the window barrier's
-  // release/acquire edges publish the bytes to the destination lanes that
-  // will read them.
-  ob.open->live.store(ob.open_records, std::memory_order_release);
-  ob.sealed.push_back(std::move(ob.open));
-  if (!ob.free.empty()) {
-    ob.open = std::move(ob.free.back());
-    ob.free.pop_back();
-  } else {
-    ob.open = std::make_unique<StagedArena>();
-  }
-  ob.open_records = 0;
-}
-
-void Network::reclaim_arenas(Outbox& ob) {
-  for (std::size_t i = 0; i < ob.sealed.size();) {
-    if (ob.sealed[i]->live.load(std::memory_order_acquire) != 0) {
-      ++i;
-      continue;
-    }
-    ob.sealed[i]->bytes.clear();  // keep capacity
-    ob.free.push_back(std::move(ob.sealed[i]));
-    ob.sealed[i] = std::move(ob.sealed.back());
-    ob.sealed.pop_back();
-  }
-}
-
 void Network::flush_staged() {
-  // A mailbox held back by the planted delay bug is recovered first, so the
+  // An outbox held back by the planted delay bug is recovered first, so the
   // fault stays a one-window reordering rather than a lost message.
-  if (!holdover_.entries.empty()) flush_outbox(holdover_);
+  if (!holdover_.entries.empty()) flush_outbox(1, holdover_);
   // The planted bug fires only under a pooled drain (workers > 1): it models
   // a worker-pool flush-coordination mistake, and gating it this way keeps a
   // serial windowed run in the same process (the differential's reference)
   // clean while the parallel run under test diverges.
   if (check::bug_hooks().delay_window_flush && !flush_delayed_ && nodes_ > 1 &&
       engine_.workers() > 1 && !outboxes_[1].entries.empty()) [[unlikely]] {
-    // Planted bug (one-shot): hold source 1's mailbox for a full window. The
-    // messages physically sit in the mailbox, so their wire departure — and
+    // Planted bug (one-shot): hold source 1's outbox for a full window. The
+    // messages physically sit in the outbox, so their wire departure — and
     // therefore arrival — slips by the window width (merely re-inserting the
     // events late would be invisible: delivery times are absolute stamps).
-    // Only the entries move; their record bytes stay in source 1's arena,
-    // which seals normally below and is reclaimed once the late deliveries
-    // finally run.
     flush_delayed_ = true;
-    std::swap(holdover_.entries, outboxes_[1].entries);
+    std::swap(holdover_, outboxes_[1]);
     for (Staged& s : holdover_.entries) s.arrival += engine_.window();
   }
-  for (Outbox& ob : outboxes_) {
-    reclaim_arenas(ob);
-    seal_open(ob);
-    flush_outbox(ob);
-  }
+  for (std::size_t src = 0; src < outboxes_.size(); ++src)
+    flush_outbox(static_cast<int>(src), outboxes_[src]);
 }
 
-void Network::flush_outbox(Outbox& ob) {
-  for (Staged& s : ob.entries) {
-    if (s.is_record) {
-      // Deliver straight out of the sealed arena: the capture fits the
-      // engine's inline closure storage, and the decrement is the arena's
-      // only shared word.
-      engine_.schedule_on(s.dst, s.arrival,
-                          [this, a = s.arena, off = s.byte_off,
-                           len = static_cast<std::size_t>(s.header_len) +
-                                 s.payload_len,
-                           dst = s.dst] {
-                            sink_->on_msg(dst, a->bytes.data() + off, len);
-                            a->live.fetch_sub(1, std::memory_order_release);
-                          });
-    } else {
-      engine_.schedule_on(s.dst, s.arrival, std::move(s.fn));
-    }
+void Network::flush_outbox(int src, Outbox& ob) {
+  for (const Staged& s : ob.entries) {
+    Channel& ch = channel(src, s.dst);
+    ch.ring.push(ob.bytes.data() + s.off, s.len, nullptr, 0);
+    schedule_record_delivery(ch, s.dst, s.arrival);
   }
   ob.entries.clear();
+  ob.bytes.clear();
 }
 
 }  // namespace presto::net

@@ -7,13 +7,9 @@
 // times to be monotone per channel. Self-sends (protocol dispatch to the
 // local node) use a cheaper loopback latency.
 //
-// Two delivery paths share the routing/FIFO logic:
-//   * send_msg — the protocol fast path: the caller's header+payload bytes
-//     are copied into the (src, dst) channel's record ring and handed to the
-//     registered MsgSink at arrival time. No heap allocation in steady state
-//     and no closure per message.
-//   * send — closure delivery for control messages and tests; the callable
-//     goes straight into the engine's event queue.
+// send_msg copies the caller's header+payload bytes into the (src, dst)
+// channel's record ring and hands them to the registered MsgSink at arrival
+// time: no heap allocation in steady state and no closure per message.
 //
 // Channel state (FIFO clamp + ring) lives in one dense nodes² table indexed
 // by src*nodes+dst on machines of up to kDenseNodeLimit nodes: a channel
@@ -29,37 +25,28 @@
 // index (built lazily on the source's first send) plus a chunked arena of
 // channels materialized on first use. Chunks never move, so Channel pointers
 // are as stable as the dense table's, and both the index and the arena are
-// owned by the source — under the parallel windowed engine every touch
-// happens on the source's lane, so no lock is needed. metadata_bytes then
-// scales with channels actually used, not nodes².
+// owned by the source — under the parallel windowed engine they are touched
+// only on the source's lane and by the serial boundary flush, so no lock is
+// needed. metadata_bytes then scales with channels actually used, not
+// nodes².
 //
 // Windowed engines (sim/engine.h): a cross-node send issued inside a lane
 // drain may not touch the destination lane's event queue, so it is *staged*
 // in the source node's outbox — routing (the FIFO clamp, traffic counters,
 // the observer call) still happens at send time, on state the source lane
-// owns — and the boundary flush (BoundaryOp::kNet) walks sources 0..N-1 in
-// send order, scheduling each delivery on the destination lane. The flush
-// order is fixed, so message sequence numbers — and therefore every
-// simulated result — are independent of how lanes were partitioned over
-// workers. Self-sends and sends from outside any lane (setup, boundary
-// context) deliver directly through the channel ring, as before.
-//
-// Staged record bytes are written exactly once: send_msg appends them to the
-// source's open *arena*, and the boundary flush merely seals the arena
-// (stamping its live-delivery count) and schedules events that read the
-// bytes in place at arrival — no second copy into the channel ring, no
-// boundary memcpy at all. A sealed arena is immutable, so destination lanes
-// read it concurrently without synchronization beyond the window barrier's
-// release/acquire edges; each delivery decrements the arena's live counter
-// (single producer per arena, its consumers are the destination lanes — the
-// counter is the only shared word), and the flush reclaims drained arenas
-// into a freelist, so steady-state staging allocates nothing. Per-source
-// staging is deliberate: a worker→worker mailbox indexing would make the
-// flush order depend on the worker count, per-source order keeps it
-// canonical for free.
+// owns. The outbox is only a per-source byte buffer plus one small entry per
+// record. The boundary flush (BoundaryOp::kNet) walks sources 0..N-1 in send
+// order, pushes each record into its (src, dst) channel ring and schedules
+// its delivery there, exactly as a direct send would, then clears the
+// buffers (keeping their capacity). So every record reaches the sink through
+// its channel ring. During a drain a cross-node ring is only popped, by its
+// destination lane; the source lane touches only the channel's FIFO clamp.
+// Staging is per source, not per worker, so the flush order — and with it
+// message sequence numbers and every simulated result — does not depend on
+// how lanes were partitioned over workers. Self-sends and sends from outside
+// any lane (setup, boundary context) push into the ring at once.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -90,9 +77,9 @@ class Network {
     ~MsgSink() = default;
   };
 
-  // Observer of every routed message (both delivery paths), used by the
-  // coherence oracle's event ring for failure-trace triage. Pure
-  // observation: never charges time or perturbs FIFO clamping.
+  // Observer of every routed message, used by the coherence oracle's event
+  // ring for failure-trace triage. Pure observation: never charges time or
+  // perturbs FIFO clamping.
   class Observer {
    public:
     virtual void on_message(int src, int dst, std::size_t bytes,
@@ -121,23 +108,6 @@ class Network {
                      std::size_t header_len, const void* payload,
                      std::size_t payload_len);
 
-  // Schedules deliver() to run in engine context at the arrival time of a
-  // message of `bytes` bytes departing src at `depart`. Returns the arrival
-  // time. Callable from both engine and processor threads (depart must be
-  // the caller's current virtual time or later).
-  template <typename F>
-  sim::Time send(int src, int dst, std::size_t bytes, sim::Time depart,
-                 F&& deliver) {
-    const sim::Time arrival = route(src, dst, bytes, depart);
-    if (src != dst && engine_.in_lane_context()) {
-      stage_fn(src, dst, arrival, sim::InlineFn(std::forward<F>(deliver)));
-    } else {
-      engine_.schedule_on(engine_.windowed() ? dst : 0, arrival,
-                          std::forward<F>(deliver));
-    }
-    return arrival;
-  }
-
   // Lower bound on cross-node delivery latency. A windowed engine's window
   // width must not exceed this: a message departing at t < cap then arrives
   // at t + min_latency() >= cap, so boundary flushes never land in a
@@ -154,10 +124,9 @@ class Network {
   }
   const NetConfig& config() const { return cfg_; }
   int nodes() const { return nodes_; }
-  // Channels that have carried at least one message (test/telemetry hook).
-  std::size_t channels_used() const;
 
-  // Host bytes held by the channel table and its record-ring arenas.
+  // Host bytes held by the channel table, its record rings and the staging
+  // outboxes.
   std::size_t metadata_bytes() const;
 
   // What the pre-sparse dense nodes² channel table would occupy for a
@@ -171,42 +140,21 @@ class Network {
  private:
   struct Channel {
     sim::Time last_arrival = 0;
-    bool used = false;  // carried at least one message
     RecordRing ring;
   };
 
-  // Staged record bytes for one flush interval of one source. The arena
-  // object's address is stable from the moment a record lands in it (the
-  // byte vector may grow while open; offsets stay valid). Sealing stamps
-  // `live` with the number of deliveries that will read the bytes; each
-  // delivery decrements it, and an arena at zero is recycled.
-  struct StagedArena {
-    std::vector<std::byte> bytes;
-    std::atomic<std::uint32_t> live{0};
-  };
-
-  // One staged cross-node delivery (windowed mode). Record deliveries keep
-  // their header+payload bytes in a staging arena; closure deliveries carry
-  // the callable itself.
+  // One staged cross-node record (windowed mode): its header+payload bytes
+  // are [off, off + len) of the source outbox's byte buffer.
   struct Staged {
-    StagedArena* arena;  // bytes owner (records only; null for closures)
     int dst;
+    std::uint32_t len;
+    std::size_t off;
     sim::Time arrival;
-    bool is_record;
-    std::uint32_t header_len;
-    std::uint32_t payload_len;
-    std::size_t byte_off;  // into arena->bytes (records only)
-    sim::InlineFn fn;      // closure delivery when !is_record
   };
-  // Per-source mailbox; entries are flushed in send order. The open arena
-  // collects this interval's record bytes; sealed arenas are in flight until
-  // their deliveries drain, then return to the freelist with their capacity.
+  // Per-source staging for one window; entries are flushed in send order.
   struct Outbox {
     std::vector<Staged> entries;
-    std::unique_ptr<StagedArena> open;   // created on first staged record
-    std::uint32_t open_records = 0;      // records staged in `open`
-    std::vector<std::unique_ptr<StagedArena>> sealed;
-    std::vector<std::unique_ptr<StagedArena>> free;
+    std::vector<std::byte> bytes;
   };
 
   // Sparse mode (> kDenseNodeLimit nodes): per-source open-channel table.
@@ -233,15 +181,11 @@ class Network {
   // Pops the front record of ch and hands it to the sink at `arrival`, on
   // the destination's lane (lane 0 when windows are off — the legacy path).
   void schedule_record_delivery(Channel& ch, int dst, sim::Time arrival);
-  void stage_fn(int src, int dst, sim::Time arrival, sim::InlineFn fn);
   // Boundary flush (BoundaryOp::kNet): sources 0..N-1 in send order.
   void flush_staged();
-  void flush_outbox(Outbox& ob);
-  // Stamps the open arena's live count and moves it to the sealed list
-  // (no-op when it holds no records).
-  void seal_open(Outbox& ob);
-  // Recycles sealed arenas whose deliveries have all run.
-  void reclaim_arenas(Outbox& ob);
+  // Pushes ob's records into src's channel rings, schedules their
+  // deliveries, and empties ob.
+  void flush_outbox(int src, Outbox& ob);
 
   sim::Engine& engine_;
   const int nodes_;
@@ -260,9 +204,8 @@ class Network {
   // Windowed mode only (empty otherwise).
   std::vector<Outbox> outboxes_;
   // Planted-bug state (check/bughook.h delay_window_flush): a one-shot hold
-  // of one source's mailbox entries for a full window, recovered at the next
-  // flush. Only entries move; their arena seals normally in the owning
-  // outbox, so the held records' bytes stay valid.
+  // of source 1's whole outbox for a full window, recovered at the next
+  // flush.
   Outbox holdover_;
   bool flush_delayed_ = false;
 };

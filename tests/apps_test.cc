@@ -102,6 +102,15 @@ TEST(Adaptive, BlockSizeChangesCostsNotValues) {
   EXPECT_NE(a32.report.exec, a256.report.exec);
 }
 
+TEST(Adaptive, WriteUpdateMatchesStache) {
+  const auto m = MachineConfig::cm5_blizzard(4, 32);
+  const auto stache =
+      run_adaptive(small_adaptive(), m, ProtocolKind::kStache, false);
+  const auto wu =
+      run_adaptive(small_adaptive(), m, ProtocolKind::kWriteUpdate, false);
+  EXPECT_DOUBLE_EQ(wu.checksum, stache.checksum);
+}
+
 TEST(Barnes, AllVersionsAgree) {
   const auto m = MachineConfig::cm5_blizzard(4, 32);
   const auto unopt = run_barnes(small_barnes(), m, ProtocolKind::kStache, false);
@@ -141,6 +150,14 @@ TEST(Water, OptimizedMatchesUnoptimized) {
   const auto opt = run_water(small_water(), m, ProtocolKind::kPredictive, true);
   EXPECT_DOUBLE_EQ(unopt.checksum, opt.checksum);
   EXPECT_LT(opt.report.remote_wait, unopt.report.remote_wait);
+}
+
+TEST(Water, WriteUpdateMatchesStache) {
+  const auto m = MachineConfig::cm5_blizzard(4, 32);
+  const auto stache = run_water(small_water(), m, ProtocolKind::kStache, false);
+  const auto wu =
+      run_water(small_water(), m, ProtocolKind::kWriteUpdate, false);
+  EXPECT_DOUBLE_EQ(wu.checksum, stache.checksum);
 }
 
 TEST(Water, SplashVariantComputesSamePhysics) {

@@ -1,6 +1,7 @@
 // util::Cli flag parsing and the allocation-free lookup contract, plus the
 // bench-side --protocol and --backend selectors that resolve names through
-// the protocol registry and sim::backend_from_name.
+// the protocol registry and sim::backend_from_name, and the benches'
+// checksum gate.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -157,6 +158,41 @@ TEST(BackendCliDeath, UnknownBackendNameAborts) {
   const Cli cli = make_cli({"--backend=bogus"});
   EXPECT_DEATH((void)presto::bench::Scale::from_cli(cli),
                "unknown backend 'bogus'.*fiber, parallel");
+}
+
+// Each canon's tolerance: exact when windowed, last bits when legacy.
+TEST(ChecksumGate, ToleranceFollowsTheCanon) {
+  EXPECT_EQ(presto::bench::Scale::from_cli(make_cli({"--backend=parallel"}))
+                .checksum_tol(),
+            0.0);
+  EXPECT_EQ(presto::bench::Scale::from_cli(make_cli({"--backend=fiber"}))
+                .checksum_tol(),
+            1e-12);
+}
+
+presto::apps::AppResult with_checksum(double checksum) {
+  presto::apps::AppResult r;
+  r.checksum = checksum;
+  return r;
+}
+
+TEST(ChecksumGate, AcceptsDifferencesWithinTolerance) {
+  presto::bench::check_equal_checksums(
+      {with_checksum(1000.0), with_checksum(1000.0 + 1e-10)}, 1e-12);
+  presto::bench::check_equal_checksums({with_checksum(-2.5)}, 0.0);
+  SUCCEED();
+}
+
+// A wrong answer fails the bench process, so a smoke test running the bench
+// fails too.
+TEST(ChecksumGateDeath, MismatchExitsNonZero) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(presto::bench::check_equal_checksums(
+                  {with_checksum(6395.13), with_checksum(8172.71)}, 1e-12),
+              ::testing::ExitedWithCode(1), "CHECKSUM MISMATCH: 8172.71");
+  EXPECT_EXIT(presto::bench::check_equal_checksums(
+                  {with_checksum(1.0), with_checksum(1.0 + 1e-15)}, 0.0),
+              ::testing::ExitedWithCode(1), "CHECKSUM MISMATCH");
 }
 
 }  // namespace
