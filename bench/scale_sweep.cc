@@ -12,7 +12,7 @@
 //     have allocated for the same machine.
 //
 // Emits results/BENCH_scale.json (--json=... overrides; --quick skips the
-// write by default, like host_throughput). --max-metadata-bytes=N exits
+// write by default). --max-metadata-bytes=N exits
 // non-zero if any measured point exceeds N — the CI perf-smoke leg passes a
 // ceiling so a quadratic-metadata regression fails the build.
 #include <chrono>

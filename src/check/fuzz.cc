@@ -195,8 +195,7 @@ bool supports_write_update(const FuzzProgram& prog) {
 
 RunResult run_program(const FuzzProgram& prog, runtime::ProtocolKind kind,
                       const net::NetConfig& net, TraceCapture* capture,
-                      sim::Backend backend, sim::Time window, int workers,
-                      int batch_windows) {
+                      sim::Backend backend, sim::Time window, int workers) {
   using runtime::NodeCtx;
   PRESTO_CHECK(kind != runtime::ProtocolKind::kWriteUpdate ||
                    supports_write_update(prog),
@@ -210,7 +209,6 @@ RunResult run_program(const FuzzProgram& prog, runtime::ProtocolKind kind,
   m.backend = backend;
   m.window = window;
   m.workers = workers;
-  m.batch_windows = batch_windows;
   m.trace.enabled = capture != nullptr;  // in-memory only
   runtime::System sys(m, kind);
   Oracle& oracle = sys.enable_oracle(FailMode::kRecord);
@@ -506,12 +504,6 @@ FuzzVerdict check_program(const FuzzProgram& prog, bool latency_sweep,
   // inequality here is an engine/network-staging bug, not a protocol bug.
   if (parallel_workers > 0) {
     const net::NetConfig& netcfg = nets.front().second;
-    // Seed-derived window batch cap: results-invariant by contract, so a
-    // soak sweeps the pool's batching/parking configurations (uncapped,
-    // park-heavy, and two spin-streak caps) across the corpus while each
-    // seed stays exactly reproducible.
-    constexpr int kBatchChoices[] = {0, 1, 2, 8};
-    const int batch = kBatchChoices[prog.seed % 4];
     for (const auto& [klabel, kind] : kinds) {
       const std::string label = klabel + "@parallel";
       const RunResult serial =
@@ -519,7 +511,7 @@ FuzzVerdict check_program(const FuzzProgram& prog, bool latency_sweep,
                       netcfg.wire_latency);
       const RunResult par =
           run_program(prog, kind, netcfg, nullptr, sim::Backend::kParallel,
-                      netcfg.wire_latency, parallel_workers, batch);
+                      netcfg.wire_latency, parallel_workers);
 
       digest = fnv1a(digest, label.data(), label.size());
       digest = fnv1a(digest, &par.exec_time, sizeof par.exec_time);

@@ -139,8 +139,7 @@ RunResult run_program(const FuzzProgram& prog, runtime::ProtocolKind kind,
                       const net::NetConfig& net,
                       TraceCapture* capture = nullptr,
                       sim::Backend backend = sim::default_backend(),
-                      sim::Time window = 0, int workers = 0,
-                      int batch_windows = 0);
+                      sim::Time window = 0, int workers = 0);
 
 // Full differential check: all applicable protocols under the default
 // latency model, plus perturbed latency models when `latency_sweep`. With
@@ -148,10 +147,6 @@ RunResult run_program(const FuzzProgram& prog, runtime::ProtocolKind kind,
 // fiber-windowed vs Backend::kParallel at that worker count, and the two
 // must agree BIT-IDENTICALLY — program-visible values AND exec time,
 // message counts and bytes (the windowed canon is backend-invariant).
-// The parallel run's window batch cap is derived from the program seed
-// ({0, 1, 2, 8} cycling with seed % 4), so a soak sweeps the pool's
-// batching/parking configurations for free while every seed stays exactly
-// reproducible.
 FuzzVerdict check_program(const FuzzProgram& prog, bool latency_sweep = true,
                           int parallel_workers = 0);
 

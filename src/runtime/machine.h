@@ -54,11 +54,6 @@ struct MachineConfig {
   // PRESTO_WORKERS environment variable, falling back to
   // min(nodes, hardware_concurrency); ignored by other backends.
   int workers = 0;
-  // Cap on a parallel worker's spin-acquired consecutive-window streak
-  // (adaptive window batching, sim/parallel.h). 0 = unbounded. Host-only
-  // tuning knob: simulated results are invariant to it; tests and the fuzzer
-  // randomize it to exercise both the spin and the park path.
-  int batch_windows = 0;
   // Event tracing (trace/tracer.h); disabled by default. Observation is
   // pure, so simulated results are bit-identical with tracing on or off.
   trace::TraceConfig trace;

@@ -68,7 +68,7 @@ System::System(const MachineConfig& cfg, ProtocolKind kind)
                        ? (cfg.workers > 0 ? cfg.workers
                                           : default_workers(cfg.nodes))
                        : 1;
-    engine_.enable_windows(w, cfg.nodes, cfg_.workers, cfg.batch_windows);
+    engine_.enable_windows(w, cfg.nodes, cfg_.workers);
   }
   net_ = std::make_unique<net::Network>(engine_, cfg.nodes, cfg.net);
   space_ = std::make_unique<mem::GlobalSpace>(cfg.nodes, cfg.mem);

@@ -25,8 +25,7 @@ Engine::~Engine() {
   processors_.clear();
 }
 
-void Engine::enable_windows(Time window, int lanes, int workers,
-                            int max_batch) {
+void Engine::enable_windows(Time window, int lanes, int workers) {
   PRESTO_CHECK(!windowed_, "enable_windows called twice");
   PRESTO_CHECK(window >= 1, "window width must be positive, got " << window);
   PRESTO_CHECK(lanes >= 1, "need at least one lane, got " << lanes);
@@ -40,7 +39,7 @@ void Engine::enable_windows(Time window, int lanes, int workers,
   if (backend_ == Backend::kParallel) {
     workers_ = workers < 1 ? 1 : (workers > lanes ? lanes : workers);
     if (workers_ > 1)
-      pool_ = std::make_unique<WindowPool>(*this, workers_, max_batch);
+      pool_ = std::make_unique<WindowPool>(*this, workers_);
   }
 }
 

@@ -130,11 +130,8 @@ class Engine {
   // cross-node latency or staged deliveries could land in a lane's past).
   // With backend kParallel, `workers` persistent worker threads drain the
   // lanes concurrently (clamped to [1, lanes]); kFiber drains serially and
-  // ignores `workers`. `max_batch` caps a worker's spin-acquired
-  // consecutive-window streak (0 = unbounded; host-only knob, see
-  // sim/parallel.h — simulated results are invariant to it). Must be called
-  // before any processor or event exists.
-  void enable_windows(Time window, int lanes, int workers, int max_batch = 0);
+  // ignores `workers`. Must be called before any processor or event exists.
+  void enable_windows(Time window, int lanes, int workers);
   bool windowed() const { return windowed_; }
   Time window() const { return window_; }
   int num_lanes() const { return static_cast<int>(lanes_.size()); }

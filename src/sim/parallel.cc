@@ -41,8 +41,8 @@ inline std::uint64_t now_ns() {
 
 }  // namespace
 
-WindowPool::WindowPool(Engine& engine, int workers, int max_batch)
-    : engine_(engine), workers_(workers), max_batch_(max_batch) {
+WindowPool::WindowPool(Engine& engine, int workers)
+    : engine_(engine), workers_(workers) {
   PRESTO_CHECK(workers_ >= 2, "WindowPool needs >= 2 workers, got " << workers_);
   slots_.reserve(static_cast<std::size_t>(workers_ - 1));
   for (int w = 1; w < workers_; ++w) slots_.push_back(std::make_unique<Slot>());
@@ -63,29 +63,26 @@ WindowPool::~WindowPool() {
   for (auto& t : threads_) t.join();
 }
 
-std::uint32_t WindowPool::await_epoch(Slot& slot, std::uint32_t seen,
-                                      bool allow_spin) {
+std::uint32_t WindowPool::await_epoch(Slot& slot, std::uint32_t seen) {
   std::uint32_t e = slot.epoch.load(std::memory_order_acquire);
   if (e != seen) {
     ++slot.spin_releases;
     return e;
   }
-  if (allow_spin) {
-    for (int i = 0; i < kSpinPause; ++i) {
-      cpu_pause();
-      e = slot.epoch.load(std::memory_order_acquire);
-      if (e != seen) {
-        ++slot.spin_releases;
-        return e;
-      }
+  for (int i = 0; i < kSpinPause; ++i) {
+    cpu_pause();
+    e = slot.epoch.load(std::memory_order_acquire);
+    if (e != seen) {
+      ++slot.spin_releases;
+      return e;
     }
-    for (int i = 0; i < kSpinYield; ++i) {
-      std::this_thread::yield();
-      e = slot.epoch.load(std::memory_order_acquire);
-      if (e != seen) {
-        ++slot.spin_releases;
-        return e;
-      }
+  }
+  for (int i = 0; i < kSpinYield; ++i) {
+    std::this_thread::yield();
+    e = slot.epoch.load(std::memory_order_acquire);
+    if (e != seen) {
+      ++slot.spin_releases;
+      return e;
     }
   }
   const std::uint64_t t0 = now_ns();
@@ -102,13 +99,9 @@ std::uint32_t WindowPool::await_epoch(Slot& slot, std::uint32_t seen,
 void WindowPool::worker_main(int w) {
   Slot& slot = *slots_[static_cast<std::size_t>(w - 1)];
   std::uint32_t seen = 0;
-  int streak = 0;  // consecutive releases acquired without a park
   for (;;) {
-    const bool allow_spin = max_batch_ == 0 || streak < max_batch_;
-    const std::uint64_t parks_before = slot.parks;
-    seen = await_epoch(slot, seen, allow_spin);
+    seen = await_epoch(slot, seen);
     if (stop_.load(std::memory_order_relaxed)) return;
-    streak = slot.parks == parks_before ? streak + 1 : 1;
     const auto n = static_cast<std::uint32_t>(runnable_.size());
     for (std::uint32_t i;
          (i = cursor_.fetch_add(1, std::memory_order_relaxed)) < n;) {

@@ -25,10 +25,6 @@
 //     windows without touching the kernel — adaptive window batching. The
 //     boundary ops still run at every logical window boundary in their
 //     canonical order on the caller, so batching is invisible to results.
-//     `max_batch` caps the spin-acquired streak (a helper parks at least
-//     once every max_batch windows); 0 means unbounded. The cap exists for
-//     stress tests and the fuzzer, which randomize it to exercise both the
-//     spin and the park path.
 //
 // Fibers migrate between OS threads (a lane drained by one thread this
 // window may be claimed by another the next). That is safe: every switch is
@@ -74,9 +70,8 @@ struct WindowPoolStats {
 class WindowPool {
  public:
   // Spawns `workers - 1` (workers >= 2) persistent helper threads; they idle
-  // until released. `max_batch` caps a helper's spin-acquired release streak
-  // (0 = unbounded; see file comment).
-  WindowPool(Engine& engine, int workers, int max_batch);
+  // until released.
+  WindowPool(Engine& engine, int workers);
   ~WindowPool();
 
   WindowPool(const WindowPool&) = delete;
@@ -89,7 +84,6 @@ class WindowPool {
   void run_window();
 
   int workers() const { return workers_; }
-  int max_batch() const { return max_batch_; }
 
   // Folds the helper-side counters into stats() and returns it. Safe
   // between windows (helpers publish their counters with each arrival).
@@ -110,12 +104,11 @@ class WindowPool {
 
   void worker_main(int w);
   // Blocks until the slot's epoch moves past `seen` (spin, then yield, then
-  // futex park unless `allow_spin` is false); updates the slot's counters.
-  std::uint32_t await_epoch(Slot& slot, std::uint32_t seen, bool allow_spin);
+  // futex park); updates the slot's counters.
+  std::uint32_t await_epoch(Slot& slot, std::uint32_t seen);
 
   Engine& engine_;
   const int workers_;
-  const int max_batch_;
 
   // This window's runnable lanes, ascending. Written by the caller before
   // any release; read-only while helpers claim from it.

@@ -1,7 +1,7 @@
 // Compact versioned binary trace format + readers/writers.
 //
 // Layout (format v1, little-endian host order — traces are a same-machine
-// analysis artifact, like results/BENCH_host.json):
+// analysis artifact):
 //
 //   u32        magic    "PTRC" (0x43525450)
 //   TraceMeta  fixed 112-byte POD header (version, machine + cost model)

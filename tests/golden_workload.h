@@ -94,8 +94,7 @@ inline WorkloadResult run_micro_workload(runtime::ProtocolKind kind,
                                          std::uint32_t trace_categories =
                                              trace::kCatAll,
                                          sim::Time window = 0,
-                                         int workers = 0,
-                                         int batch_windows = 0) {
+                                         int workers = 0) {
   runtime::MachineConfig cfg =
       runtime::MachineConfig::cm5_blizzard(nodes, block_size);
   cfg.backend = backend;
@@ -103,7 +102,6 @@ inline WorkloadResult run_micro_workload(runtime::ProtocolKind kind,
   cfg.trace.categories = trace_categories;
   cfg.window = window;            // 0 = legacy single-lane engine
   cfg.workers = workers;          // kParallel only
-  cfg.batch_windows = batch_windows;  // kParallel only; results-invariant
   runtime::System sys(cfg, kind);
   auto& space = sys.space();
 

@@ -1,7 +1,7 @@
 // Stress tier for the worker pool's synchronization hot path: sense-epoch
-// barrier, spin-then-park wake-ups, adaptive window batching, and time-based
-// escalation of windows from the caller alone to the caller plus helpers
-// claiming lanes from one shared cursor.
+// barrier, spin-then-park wake-ups, and time-based escalation of windows
+// from the caller alone to the caller plus helpers claiming lanes from one
+// shared cursor.
 //
 // Most of it runs the 16-node golden workload, whose windows are a mix:
 // many short enough to stay on the caller, some long enough to release
@@ -50,11 +50,10 @@ WorkloadResult run_serial(ProtocolKind kind) {
                             /*traced=*/true, trace::kCatAll, kWindow);
 }
 
-WorkloadResult run_pool(ProtocolKind kind, int workers, int batch) {
+WorkloadResult run_pool(ProtocolKind kind, int workers) {
   return run_micro_workload(kind, kNodes, kRounds,
                             sim::Backend::kParallel, /*block_size=*/32,
-                            /*traced=*/true, trace::kCatAll, kWindow, workers,
-                            batch);
+                            /*traced=*/true, trace::kCatAll, kWindow, workers);
 }
 
 // ---- Compute workloads ------------------------------------------------------
@@ -181,11 +180,14 @@ struct ScopedBugHook {
 // the serial canon.
 
 TEST(ParallelElision, MixedPathWindowsStayByteIdentical) {
+  // Predictive, not stache: the presend machinery is what keeps 16-node
+  // windows long enough to release helpers (stache windows at this scale
+  // mostly finish before the escalation time — correctly, but vacuously for
+  // this test).
   const WorkloadResult serial = run_serial(ProtocolKind::kPredictive);
-  for (int workers : {2, 5, 8}) {
+  for (int workers : {2, 5, 7, 8}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    const WorkloadResult par =
-        run_pool(ProtocolKind::kPredictive, workers, /*batch=*/0);
+    const WorkloadResult par = run_pool(ProtocolKind::kPredictive, workers);
     // The mechanisms under test must actually engage.
     EXPECT_GT(par.host.win_releases, 0u) << "pool never released a helper; "
                                             "this test has gone vacuous";
@@ -195,48 +197,20 @@ TEST(ParallelElision, MixedPathWindowsStayByteIdentical) {
   }
 }
 
-// ---- Adaptive batching sweep ------------------------------------------------
-// The batch cap only changes HOW helpers are woken (spin streaks vs parks),
-// never what is simulated: every (workers, batch) cell must land on the
-// serial canon's digest. batch=1 is the park-heavy extreme (a helper may
-// spin-acquire at most one consecutive release before it must park), batch=8
-// the spin-friendly one, batch=0 uncapped.
-
-TEST(ParallelBatching, BatchCapSweepStaysByteIdentical) {
-  // Predictive, not stache: the presend machinery is what keeps 16-node
-  // windows long enough to release helpers (stache windows at this scale
-  // mostly finish before the escalation time — correctly, but vacuously for
-  // this sweep).
-  const WorkloadResult serial = run_serial(ProtocolKind::kPredictive);
-  for (int workers : {2, 7}) {
-    for (int batch : {1, 2, 8}) {
-      SCOPED_TRACE("workers=" + std::to_string(workers) + " batch=" +
-                   std::to_string(batch));
-      const WorkloadResult par =
-          run_pool(ProtocolKind::kPredictive, workers, batch);
-      EXPECT_GT(par.host.win_releases, 0u);
-      expect_equivalent(serial, par);
-    }
-  }
-}
-
 // ---- Park/unpark stress -----------------------------------------------------
-// Oversubscription (8 workers on however few CPUs the host has) plus
-// batch=1 forces the futex path: after each helper's first spin-acquired
-// release, every further wake-up goes through epoch.wait()/notify_one(). The
-// rotating writer keeps lane load imbalanced, so release sets differ window
-// to window — exactly the wake/sleep churn the barrier must survive without
-// deadlock, lost wake-ups, or result drift.
+// Oversubscription (8 workers on however few CPUs the host has) drives the
+// futex path: a helper that is not re-released within its spin budget parks
+// in epoch.wait() and is woken by notify_one(). The rotating writer keeps
+// lane load imbalanced, so release sets differ window to window — exactly
+// the wake/sleep churn the barrier must survive without deadlock, lost
+// wake-ups, or result drift.
 
-TEST(ParallelParkStress, OversubscribedBatchOneParksAndMatches) {
+TEST(ParallelParkStress, OversubscribedPoolParksAndMatches) {
   const WorkloadResult serial = run_serial(ProtocolKind::kPredictive);
-  const WorkloadResult par =
-      run_pool(ProtocolKind::kPredictive, /*workers=*/8, /*batch=*/1);
+  const WorkloadResult par = run_pool(ProtocolKind::kPredictive, /*workers=*/8);
   EXPECT_GT(par.host.win_releases, 0u);
-  // batch=1 with repeated releases forces parks (a helper's second
-  // consecutive release may not be spin-acquired).
-  EXPECT_GT(par.host.win_parks, 0u) << "batch=1 never parked a helper; the "
-                                       "spin cap is not being enforced";
+  EXPECT_GT(par.host.win_parks, 0u) << "no helper ever parked; the futex "
+                                       "path went unexercised";
   expect_equivalent(serial, par);
 }
 
