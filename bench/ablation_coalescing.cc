@@ -55,6 +55,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("kb", 64) / scale.divide + 1);
   const int iters = static_cast<int>(cli.get_int("iters", 8));
   const auto trace_cfg = bench::trace_from_cli(cli);
+  const bool check = cli.get_bool("check");
   cli.reject_unknown();
 
   std::vector<stats::Report> reports;
@@ -70,5 +71,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(reports[1].msgs),
               static_cast<double>(reports[1].presend) /
                   std::max<double>(1.0, static_cast<double>(reports[0].presend)));
+  bench::check_shape(check, reports[1].msgs >= 5 * reports[0].msgs,
+                     "coalescing off sends >= 5x the messages (" +
+                         std::to_string(reports[1].msgs) + " vs " +
+                         std::to_string(reports[0].msgs) + ")");
   return 0;
 }

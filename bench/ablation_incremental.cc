@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   params.n = scale.divide > 1 ? 64 : 128;
   params.iters = static_cast<int>(cli.get_int("iters", 60) / scale.divide);
   const auto trace_cfg = bench::trace_from_cli(cli);
+  const bool check = cli.get_bool("check");
   cli.reject_unknown();
   if (params.iters < 4) params.iters = 4;
 
@@ -36,12 +37,16 @@ int main(int argc, char** argv) {
     reports.push_back(r.report);
     results.push_back(std::move(r));
   }
-  bench::check_equal_checksums(results, scale.checksum_tol());
+  bench::check_equal_checksums(results, 0.0);
 
   bench::print_results(
       "Ablation: incremental schedules vs rebuild (Adaptive " +
           std::to_string(params.n) + "x" + std::to_string(params.n) + ", " +
           std::to_string(params.iters) + " iters)",
       reports);
+  bench::check_shape(check, reports[0].exec <= reports[1].exec,
+                     "never flushing " + bench::fmt_seconds(reports[0].exec) +
+                         " <= flushing every 4 " +
+                         bench::fmt_seconds(reports[1].exec));
   return 0;
 }

@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   const int jobs =
       static_cast<int>(cli.get_int("jobs", util::default_pool_jobs()));
   const auto trace_cfg = bench::trace_from_cli(cli);
+  const bool check = cli.get_bool("check");
   cli.reject_unknown();
 
   apps::WaterParams params;
@@ -74,11 +75,14 @@ int main(int argc, char** argv) {
                                  false);
   });
 
+  std::vector<double> speedups;
   for (std::size_t p = 0; p < points.size(); ++p) {
     const Point& pt = points[p];
     const runtime::MachineConfig m = machine_for(pt);
     const auto& unopt = runs[2 * p];
     const auto& opt = runs[2 * p + 1];
+    speedups.push_back(static_cast<double>(unopt.report.exec) /
+                       static_cast<double>(opt.report.exec));
     t.add_row({pt.name,
                util::fmt_double(sim::to_micros(m.net.wire_latency), 1) + " us",
                util::fmt_double(sim::to_seconds(unopt.report.exec), 4),
@@ -92,5 +96,13 @@ int main(int argc, char** argv) {
   std::printf("\n== Ablation: remote-latency regime sweep (Water, %d nodes) "
               "==\n%s",
               scale.nodes, t.to_string().c_str());
+  bool falls = true;
+  std::string values;
+  for (std::size_t p = 0; p < speedups.size(); ++p) {
+    if (p > 0) falls &= speedups[p] < speedups[p - 1];
+    values += (p > 0 ? " > " : "") + util::fmt_double(speedups[p], 3);
+  }
+  bench::check_shape(check, falls,
+                     "opt/unopt speedup falls as latency falls: " + values);
   return 0;
 }

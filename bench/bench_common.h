@@ -15,15 +15,16 @@
 #include "trace/config.h"
 #include "util/check.h"
 #include "util/cli.h"
+#include "util/table.h"
 
 namespace presto::bench {
 
 // --quick shrinks every workload for smoke runs (used by ctest); --scale=N
 // divides the paper's problem sizes by N. --backend=fiber|parallel and
-// --workers=N pick the engine driving the simulation (equivalent to
+// --workers=N pick what drains the windowed engine's lanes (equivalent to
 // PRESTO_BACKEND/PRESTO_WORKERS; simulated results are bit-identical across
-// backends — docs/performance.md §9 — only host speed differs). Unknown
-// backend names abort with the list of valid ones.
+// backends and worker counts — docs/performance.md §9 — only host speed
+// differs). Unknown backend names abort with the list of valid ones.
 struct Scale {
   std::int64_t divide = 1;
   int nodes = 32;
@@ -50,15 +51,6 @@ struct Scale {
   void apply(runtime::MachineConfig& m) const {
     m.backend = backend;
     if (workers > 0) m.workers = workers;
-  }
-
-  // Relative tolerance between the checksums of one program's versions run
-  // on the selected engine: exact in the windowed canon, whose reductions
-  // fold in node order; 1e-12 in the legacy canon, whose reductions fold in
-  // arrival order, so versions that deliver messages in a different order
-  // may differ in the last bits.
-  double checksum_tol() const {
-    return backend == sim::Backend::kParallel ? 0.0 : 1e-12;
   }
 };
 
@@ -97,6 +89,21 @@ inline trace::TraceConfig trace_from_cli(const util::Cli& cli) {
   return trace::TraceConfig::from_spec(cli.get("trace", ""));
 }
 
+// --check turns a bench into a test of the shape claim EXPERIMENTS.md makes
+// for it (the `shape` ctest label runs each at the smallest scale where the
+// claim holds). After its table the bench prints "shape ok: CLAIM" or
+// "shape FAILED: CLAIM" with the measured values, and exits 1 on failure.
+inline void check_shape(bool enabled, bool holds, const std::string& claim) {
+  if (!enabled) return;
+  std::printf("%s: %s\n", holds ? "shape ok" : "shape FAILED", claim.c_str());
+  std::fflush(stdout);
+  if (!holds) std::exit(1);
+}
+
+inline std::string fmt_seconds(sim::Time t) {
+  return util::fmt_double(sim::to_seconds(t), 4) + "s";
+}
+
 inline void print_results(const std::string& title,
                           const std::vector<stats::Report>& reports) {
   std::printf("\n== %s ==\n", title.c_str());
@@ -107,9 +114,11 @@ inline void print_results(const std::string& title,
   std::fflush(stdout);
 }
 
-// Every version of one program must compute the same answer. Prints each
-// checksum that differs from the first by more than rel_tol (relative) and
-// exits the process with status 1 if any does.
+// Every version of one program must compute the same answer: exactly
+// (rel_tol 0), since reductions fold in node order whatever the message
+// order, unless the versions are different programs (Splash Water).
+// Prints each checksum that differs from the first by more than rel_tol
+// (relative) and exits the process with status 1 if any does.
 inline void check_equal_checksums(const std::vector<apps::AppResult>& rs,
                                   double rel_tol) {
   if (rs.empty()) return;

@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
       scale.divide);
   params.steps = static_cast<int>(cli.get_int("steps", params.steps));
   const auto trace_cfg = bench::trace_from_cli(cli);
+  const bool check = cli.get_bool("check");
   cli.reject_unknown();
   if (params.bodies < 64) params.bodies = 64;
 
@@ -53,7 +54,7 @@ int main(int argc, char** argv) {
     reports.push_back(r.report);
     results.push_back(std::move(r));
   }
-  bench::check_equal_checksums(results, scale.checksum_tol());
+  bench::check_equal_checksums(results, 0.0);
 
   bench::print_results(
       "Figure 6: Barnes (" + std::to_string(params.bodies) + " bodies, " +
@@ -67,5 +68,10 @@ int main(int argc, char** argv) {
                   static_cast<double>(reports[1].exec),
               static_cast<double>(reports[3].exec) /
                   static_cast<double>(reports[2].exec));
+  bench::check_shape(check, reports[2].exec < reports[1].exec,
+                     "crossover: C** unopt (1024) " +
+                         bench::fmt_seconds(reports[2].exec) +
+                         " < C** opt (32) " +
+                         bench::fmt_seconds(reports[1].exec));
   return 0;
 }

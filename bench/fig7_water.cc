@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
       cli.get_bool("splash-sweep") ? block_sizes
                                    : std::vector<std::uint32_t>{128};
   const auto trace_cfg = bench::trace_from_cli(cli);
+  const bool check = cli.get_bool("check");
   cli.reject_unknown();
 
   std::vector<apps::AppResult> results;
@@ -89,5 +90,11 @@ int main(int argc, char** argv) {
                   static_cast<double>(reports[1].exec),
               static_cast<double>(reports[2].exec) /
                   static_cast<double>(reports[1].exec));
+  bench::check_shape(
+      check,
+      reports[1].exec < reports[0].exec && reports[0].exec < reports[2].exec,
+      "opt " + bench::fmt_seconds(reports[1].exec) + " < unopt " +
+          bench::fmt_seconds(reports[0].exec) + " < Splash " +
+          bench::fmt_seconds(reports[2].exec));
   return 0;
 }

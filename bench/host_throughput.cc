@@ -56,11 +56,9 @@ struct StreamResult {
 // protocol work each window and every home serves requests, and worker
 // scaling is limited by the window barrier alone.
 StreamResult run_stream(int nodes, int blocks, int rounds, bool ring,
-                        sim::Backend backend, sim::Time window = 0,
-                        int workers = 0) {
+                        sim::Backend backend, int workers = 0) {
   auto cfg = runtime::MachineConfig::cm5_blizzard(nodes, 32);
   cfg.backend = backend;
-  cfg.window = window;
   cfg.workers = workers;
   runtime::System sys(cfg, runtime::ProtocolKind::kPredictive);
   sys.predictive()->set_coalescing(false);
@@ -227,18 +225,15 @@ int main(int argc, char** argv) {
   if (backend == sim::Backend::kParallel) {
     const int rblocks = quick ? 16 : 64;
     const int rrounds = quick ? 2 : 12;
-    // The cm5 wire latency: the widest window the network's lookahead
-    // admits.
-    const sim::Time window = sim::microseconds(30);
     const int hw_cpus = std::max(1u, std::thread::hardware_concurrency());
+    // Both run the cm5 model's 30 us window, derived from its wire latency.
     const StreamResult serial = run_stream(nodes, rblocks, rrounds, true,
-                                           sim::Backend::kFiber, window);
+                                           sim::Backend::kFiber);
     std::printf("ring/windowed: nodes=%d blocks=%d rounds=%d -> %.0f "
                 "events/sec (serial fiber, window=30us)\n",
                 nodes, rblocks, rrounds, serial.events_per_sec);
     const StreamResult par = run_stream(nodes, rblocks, rrounds, true,
-                                        sim::Backend::kParallel, window,
-                                        workers);
+                                        sim::Backend::kParallel, workers);
     PRESTO_CHECK(par.events == serial.events && par.msgs == serial.msgs,
                  "parallel backend diverged from the serial windowed canon "
                  "(events " << par.events << " vs " << serial.events

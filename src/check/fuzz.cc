@@ -195,7 +195,7 @@ bool supports_write_update(const FuzzProgram& prog) {
 
 RunResult run_program(const FuzzProgram& prog, runtime::ProtocolKind kind,
                       const net::NetConfig& net, TraceCapture* capture,
-                      sim::Backend backend, sim::Time window, int workers) {
+                      sim::Backend backend, int workers) {
   using runtime::NodeCtx;
   PRESTO_CHECK(kind != runtime::ProtocolKind::kWriteUpdate ||
                    supports_write_update(prog),
@@ -207,7 +207,6 @@ RunResult run_program(const FuzzProgram& prog, runtime::ProtocolKind kind,
   m.mem.page_size = 512;  // small pages spread homes across nodes
   m.net = net;
   m.backend = backend;
-  m.window = window;
   m.workers = workers;
   m.trace.enabled = capture != nullptr;  // in-memory only
   runtime::System sys(m, kind);
@@ -507,11 +506,10 @@ FuzzVerdict check_program(const FuzzProgram& prog, bool latency_sweep,
     for (const auto& [klabel, kind] : kinds) {
       const std::string label = klabel + "@parallel";
       const RunResult serial =
-          run_program(prog, kind, netcfg, nullptr, sim::Backend::kFiber,
-                      netcfg.wire_latency);
-      const RunResult par =
-          run_program(prog, kind, netcfg, nullptr, sim::Backend::kParallel,
-                      netcfg.wire_latency, parallel_workers);
+          run_program(prog, kind, netcfg, nullptr, sim::Backend::kFiber);
+      const RunResult par = run_program(prog, kind, netcfg, nullptr,
+                                        sim::Backend::kParallel,
+                                        parallel_workers);
 
       digest = fnv1a(digest, label.data(), label.size());
       digest = fnv1a(digest, &par.exec_time, sizeof par.exec_time);

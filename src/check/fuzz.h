@@ -133,13 +133,13 @@ struct TraceCapture {
 
 // Runs the program under one protocol/network configuration with the oracle
 // attached in record mode. Deterministic: equal inputs give equal results.
-// `backend`/`window`/`workers` map onto MachineConfig (window > 0 or
-// Backend::kParallel selects the windowed engine; see runtime/machine.h).
+// `backend`/`workers` map onto MachineConfig (runtime/machine.h); the
+// window width is derived from the network.
 RunResult run_program(const FuzzProgram& prog, runtime::ProtocolKind kind,
                       const net::NetConfig& net,
                       TraceCapture* capture = nullptr,
                       sim::Backend backend = sim::default_backend(),
-                      sim::Time window = 0, int workers = 0);
+                      int workers = 0);
 
 // Full differential check: all applicable protocols under the default
 // latency model, plus perturbed latency models when `latency_sweep`. With

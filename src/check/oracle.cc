@@ -15,15 +15,15 @@ Oracle::Oracle(mem::GlobalSpace& space, const sim::Engine* engine, Mode mode,
     : space_(space),
       engine_(engine),
       mode_(mode),
-      fail_(fail),
-      deferred_(engine != nullptr && engine->windowed()) {
+      fail_(fail) {
   ring_.resize(kRingSize);
-  if (deferred_) lanes_.resize(static_cast<std::size_t>(engine->num_lanes()));
+  if (engine != nullptr)
+    lanes_.resize(static_cast<std::size_t>(engine->num_lanes()));
   ensure_block(space_.num_blocks() == 0 ? 0 : space_.num_blocks() - 1);
 }
 
 Oracle::LaneBuf* Oracle::defer_target() {
-  if (!deferred_ || !engine_->in_lane_context()) return nullptr;
+  if (engine_ == nullptr || !engine_->in_lane_context()) return nullptr;
   return &lanes_[static_cast<std::size_t>(engine_->current_lane())];
 }
 
@@ -339,7 +339,6 @@ void Oracle::on_message(int src, int dst, std::size_t bytes, sim::Time depart,
 }
 
 void Oracle::replay_window() {
-  if (!deferred_) return;
   struct Key {
     sim::Time t;
     std::uint32_t lane;

@@ -34,8 +34,8 @@
 // sanitizer CI). Detached, the hot paths pay one null-pointer test
 // (mem/global_space.h read()/write(), proto/protocol.cc post()).
 //
-// Under a windowed engine (sim/engine.h) hooks fire on concurrently
-// draining lanes, so they cannot touch the shared shadow directly. Each
+// Hooks fire on concurrently draining lanes of the windowed engine
+// (sim/engine.h), so they cannot touch the shared shadow directly. Each
 // hook instead records its arguments (payload bytes copied into a per-lane
 // arena) and replay_window() — registered as BoundaryOp::kOracle — applies
 // the window's records against the shadow in merged (time, lane, record)
@@ -183,15 +183,15 @@ class Oracle final : public mem::AccessObserver,
     if (replaying_) return replay_t_;
     return engine_ != nullptr ? engine_->now() : 0;
   }
-  // True when the calling hook must buffer instead of checking (windowed
-  // engine, inside a lane drain). Returns the lane's buffer.
+  // True when the calling hook must buffer instead of checking (inside a
+  // lane drain). Returns the lane's buffer.
   LaneBuf* defer_target();
   std::size_t stash(LaneBuf& lb, const void* data, std::size_t n);
   void push_ring(Ev kind, int a, int b, std::uint8_t info, mem::BlockId blk);
   void violation(int node, mem::BlockId b, std::string what);
 
-  // Immediate check bodies; hooks call these directly in legacy mode and
-  // replay_window() calls them with replay_t_ overriding now().
+  // Immediate check bodies; hooks call these directly outside lane drains
+  // and replay_window() calls them with replay_t_ overriding now().
   void check_read(int node, mem::BlockId b, std::size_t off, const void* seen,
                   std::size_t n);
   void check_write(int node, mem::BlockId b, std::size_t off, const void* data,
@@ -206,10 +206,9 @@ class Oracle final : public mem::AccessObserver,
   const sim::Engine* engine_;
   const Mode mode_;
   const FailMode fail_;
-  const bool deferred_;
   bool strict_reads_ = false;
 
-  std::vector<LaneBuf> lanes_;  // [lane]; deferred mode only
+  std::vector<LaneBuf> lanes_;  // [lane]
   bool replaying_ = false;
   sim::Time replay_t_ = 0;
 

@@ -23,7 +23,20 @@ PredictiveProtocol::PredictiveProtocol(sim::Engine& engine, net::Network& net,
       inv_batch_(static_cast<std::size_t>(space.nodes())),
       blocks_per_page_(space.page_size() / space.block_size()),
       conflict_policy_(conflicts),
-      stats_(static_cast<std::size_t>(space.nodes())) {}
+      stats_(static_cast<std::size_t>(space.nodes())) {
+  PRESTO_CHECK(space.nodes() - 1 <= std::numeric_limits<std::uint16_t>::max(),
+               "predictive presend batches address at most 65536 nodes, got "
+                   << space.nodes());
+}
+
+PredictiveProtocol::BatchItem PredictiveProtocol::batch_item(int target,
+                                                             mem::BlockId b,
+                                                             mem::Tag tag) {
+  PRESTO_CHECK(b <= std::numeric_limits<std::uint32_t>::max(),
+               "block id " << b << " does not fit a presend batch item");
+  return BatchItem{static_cast<std::uint32_t>(b),
+                   static_cast<std::uint16_t>(target), tag};
+}
 
 void PredictiveProtocol::PhaseSched::ensure_sorted() {
   if (sorted) return;
@@ -225,7 +238,7 @@ void PredictiveProtocol::do_presend(int node, int phase) {
         targets.subtract(d.readers);
       }
       targets.for_each([&](int t) {
-        push.push_back(BatchItem{t, b, mem::Tag::ReadOnly});
+        push.push_back(batch_item(t, b, mem::Tag::ReadOnly));
       });
       if (targets.any()) {
         targets.for_each([&](int t) { d.readers.set(sharer_id(t)); });
@@ -238,7 +251,7 @@ void PredictiveProtocol::do_presend(int node, int phase) {
         // Pre-invalidate remote copies so the home's writes do not stall.
         if (d.state == DirEntry::S::Shared) {
           for_each_sharer_target(d.readers, node, -1, [&](int t) {
-            inv.push_back(BatchItem{t, b, mem::Tag::Invalid});
+            inv.push_back(batch_item(t, b, mem::Tag::Invalid));
           });
           d.readers.clear();
           d.state = DirEntry::S::Idle;
@@ -247,9 +260,9 @@ void PredictiveProtocol::do_presend(int node, int phase) {
       } else {
         if (d.state == DirEntry::S::Excl) continue;  // owner == writer
         for_each_sharer_target(d.readers, writer, node, [&](int t) {
-          inv.push_back(BatchItem{t, b, mem::Tag::Invalid});
+          inv.push_back(batch_item(t, b, mem::Tag::Invalid));
         });
-        push.push_back(BatchItem{writer, b, mem::Tag::ReadWrite});
+        push.push_back(batch_item(writer, b, mem::Tag::ReadWrite));
         d.readers.clear();
         d.owner = writer;
         d.state = DirEntry::S::Excl;
@@ -270,11 +283,9 @@ void PredictiveProtocol::do_presend(int node, int phase) {
   std::stable_sort(inv.begin(), inv.end(), by_target);
   std::size_t ip = 0, iv = 0;
   while (ip < push.size() || iv < inv.size()) {
-    const std::int32_t t =
-        std::min(ip < push.size() ? push[ip].target
-                                  : std::numeric_limits<std::int32_t>::max(),
-                 iv < inv.size() ? inv[iv].target
-                                 : std::numeric_limits<std::int32_t>::max());
+    const int t = std::min(
+        ip < push.size() ? int{push[ip].target} : std::numeric_limits<int>::max(),
+        iv < inv.size() ? int{inv[iv].target} : std::numeric_limits<int>::max());
     if (ip < push.size() && push[ip].target == t) {
       std::size_t e = ip + 1;
       while (e < push.size() && push[e].target == t) ++e;
@@ -304,7 +315,8 @@ void PredictiveProtocol::send_bulk_runs(int node, int target,
     // Extend a run of contiguous blocks with the same install tag.
     std::size_t j = i + 1;
     while (coalescing_ && j < count_items &&
-           items[j].block == items[j - 1].block + 1 &&
+           std::uint64_t{items[j].block} ==
+               std::uint64_t{items[j - 1].block} + 1 &&
            items[j].tag == items[i].tag)
       ++j;
     const std::uint32_t count = static_cast<std::uint32_t>(j - i);

@@ -41,13 +41,11 @@ Protocol::Protocol(sim::Engine& engine, net::Network& net,
       costs_(costs),
       busy_until_(static_cast<std::size_t>(space.nodes()), 0),
       waiting_(static_cast<std::size_t>(space.nodes()), -1),
-      dispatch_(static_cast<std::size_t>(space.nodes())),
       scratch_(static_cast<std::size_t>(space.nodes())) {}
 
 std::size_t Protocol::metadata_bytes() const {
   std::size_t n = busy_until_.capacity() * sizeof(busy_until_[0]) +
                   waiting_.capacity() * sizeof(waiting_[0]);
-  for (const auto& r : dispatch_) n += r.capacity_bytes();
   for (const auto& s : scratch_) n += s.capacity();
   return n;
 }
@@ -80,10 +78,12 @@ void Protocol::send_from_app(int src, int dst, const Msg& m) {
   post(src, dst, m, proc(src).now());
 }
 
-void Protocol::on_msg(int dst, const std::byte* rec, std::size_t len) {
-  // Serialize on the destination's protocol dispatch unit, then run the
-  // handler after its occupancy. Handler time overlapping the destination's
+sim::Time Protocol::on_arrival(int dst, const std::byte* rec,
+                               std::size_t len) {
+  // Serialize on the destination's protocol dispatch unit; the handler runs
+  // after its occupancy. Handler time overlapping the destination's
   // application compute is charged as stolen cycles.
+  (void)len;
   auto& busy = busy_until_[static_cast<std::size_t>(dst)];
   const sim::Time start = engine_.now() > busy ? engine_.now() : busy;
   const sim::Time done = start + costs_.handler;
@@ -99,22 +99,15 @@ void Protocol::on_msg(int dst, const std::byte* rec, std::size_t len) {
         engine_.now(), start);
   }
   if (!proc(dst).parked_in_block()) proc(dst).add_stolen(costs_.handler);
-  dispatch_[static_cast<std::size_t>(dst)].push(rec, len, nullptr, 0);
-  engine_.schedule_at(done, [this, dst] { dispatch_front(dst); });
+  return done;
 }
 
-void Protocol::dispatch_front(int node) {
-  auto& ring = dispatch_[static_cast<std::size_t>(node)];
-  std::size_t len;
-  const std::byte* rec = ring.front(&len);
+void Protocol::on_msg(int dst, const std::byte* rec, std::size_t len) {
   PRESTO_CHECK(len >= sizeof(Msg), "truncated message record");
   Msg m;
   std::memcpy(&m, rec, sizeof(Msg));
   m.data = m.data_len != 0 ? rec + sizeof(Msg) : nullptr;
-  // pop() only advances the ring head, so the record bytes stay valid for
-  // the handle() call; nothing pushes to this ring in engine context.
-  ring.pop();
-  handle(node, m);
+  handle(dst, m);
 }
 
 void Protocol::install_block(int node, mem::BlockId b, const std::byte* data,

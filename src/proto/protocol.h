@@ -13,10 +13,11 @@
 //
 // Transport is allocation-free in steady state: a Msg is a trivially
 // copyable header plus a non-owning payload view. Sending copies header and
-// payload into the network's per-channel record ring (net::Network::send_msg);
-// arrival moves the record into the destination node's dispatch ring, where
-// it waits out handler occupancy before handle() runs. No std::function, no
-// per-message heap allocation, no payload vector.
+// payload once, into the network's per-channel record ring
+// (net::Network::send_msg). At arrival the protocol names the dispatch time
+// (handler occupancy) and the record waits in its channel; handle() reads it
+// there. No std::function, no per-message heap allocation, no payload
+// vector, no second copy.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +28,6 @@
 
 #include "mem/global_space.h"
 #include "net/network.h"
-#include "net/record_ring.h"
 #include "sim/engine.h"
 #include "sim/processor.h"
 #include "stats/recorder.h"
@@ -78,7 +78,7 @@ struct Msg {
   // Non-owning payload view. When sending it points at the caller's bytes
   // (copied into the channel ring before the send returns, so a pointer
   // straight into GlobalSpace frames is fine); inside handle() it points
-  // into the node's dispatch ring and is valid only for that call.
+  // into the channel ring and is valid only for that call.
   const std::byte* data = nullptr;
 };
 static_assert(std::is_trivially_copyable_v<Msg>,
@@ -157,13 +157,15 @@ class Protocol : public net::Network::MsgSink, public mem::FaultHandler {
   const ProtoCosts& costs() const { return costs_; }
 
   // Host bytes held by protocol metadata (directories, schedules, reader
-  // sets, pools, dispatch rings, scratch). Base counts the framework's own
+  // sets, pools, scratch). Base counts the framework's own
   // structures; protocols add their metadata on top. Surfaced as
   // stats::HostCounters::metadata_bytes at end of run.
   virtual std::size_t metadata_bytes() const;
 
   // net::Network::MsgSink — arrival: serialize on the destination's protocol
-  // dispatch unit, then run handle() after its occupancy.
+  // dispatch unit and return the end of its occupancy, when on_msg runs
+  // handle() on the record.
+  sim::Time on_arrival(int dst, const std::byte* rec, std::size_t len) final;
   void on_msg(int dst, const std::byte* rec, std::size_t len) final;
 
  protected:
@@ -218,13 +220,9 @@ class Protocol : public net::Network::MsgSink, public mem::FaultHandler {
 
  private:
   void post(int src, int dst, const Msg& m, sim::Time depart);
-  void dispatch_front(int node);
 
   std::vector<sim::Time> busy_until_;     // protocol dispatch occupancy
   std::vector<std::int64_t> waiting_;     // block each node's app waits on
-  // Per-node queue of arrived records awaiting handler occupancy. Occupancy
-  // ends are monotone per node, so dispatch order is FIFO.
-  std::vector<net::RecordRing> dispatch_;
   std::vector<std::vector<std::byte>> scratch_;
 };
 

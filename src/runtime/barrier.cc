@@ -13,47 +13,26 @@ BarrierManager::BarrierManager(sim::Engine& engine, stats::Recorder& rec,
       nodes_(nodes),
       latency_(latency),
       per_byte_(per_byte),
-      deferred_(engine.windowed()) {
-  if (deferred_) {
-    slots_.resize(static_cast<std::size_t>(nodes));
-    engine_.set_boundary_op(sim::BoundaryOp::kBarrier,
-                            [this] { boundary_scan(); });
-  }
+      slots_(static_cast<std::size_t>(nodes)) {
+  PRESTO_CHECK(engine.windowed(),
+               "BarrierManager needs a windowed engine (runtime::System)");
+  engine_.set_boundary_op(sim::BoundaryOp::kBarrier,
+                          [this] { boundary_scan(); });
 }
 
 void BarrierManager::arrive_and_wait(int node, std::size_t bytes) {
   auto& p = engine_.processor(node);
   const sim::Time arrive = p.now();
-  // In deferred mode epoch_ only advances at window boundaries, so this read
-  // is stable for the whole drain.
+  // epoch_ only advances at window boundaries, so this read is stable for
+  // the whole drain.
   const std::uint64_t my_epoch = epoch_;
   if (trace_ != nullptr) [[unlikely]]
     trace_->on_barrier_arrive(node, my_epoch, arrive);
-  if (deferred_) {
-    Slot& s = slots_[static_cast<std::size_t>(node)];
-    PRESTO_CHECK(!s.arrived, "node " << node << " re-arrived before release");
-    s.arrived = true;
-    s.arrive = arrive;
-    s.bytes = bytes;
-  } else {
-    if (arrive > max_arrive_) max_arrive_ = arrive;
-    ++arrived_;
-    PRESTO_CHECK(arrived_ <= nodes_, "too many barrier arrivals");
-    if (arrived_ == nodes_) {
-      const sim::Time release = max_arrive_ + latency_ +
-                                static_cast<sim::Time>(bytes) * per_byte_;
-      scalar_result_[my_epoch & 1] = scalar_acc_;
-      vec_result_[my_epoch & 1] = vec_acc_;
-      vec_acc_.clear();
-      arrived_ = 0;
-      max_arrive_ = 0;
-      ++epoch_;
-      for (int n = 0; n < nodes_; ++n) engine_.processor(n).wake(release);
-      // The completer latched its own wake above (it is running, not
-      // parked); consume it so its clock also advances to the release time.
-      p.block();
-    }
-  }
+  Slot& s = slots_[static_cast<std::size_t>(node)];
+  PRESTO_CHECK(!s.arrived, "node " << node << " re-arrived before release");
+  s.arrived = true;
+  s.arrive = arrive;
+  s.bytes = bytes;
   while (epoch_ == my_epoch) p.block();
   if (trace_ != nullptr) [[unlikely]]
     trace_->on_barrier_release(node, my_epoch, p.now());
@@ -73,8 +52,7 @@ void BarrierManager::boundary_scan() {
   }
   const sim::Time release =
       max_arrive + latency_ + static_cast<sim::Time>(bytes) * per_byte_;
-  // Fold contributions in node order — the windowed canon's fixed
-  // floating-point combine order (legacy folds in arrival order).
+  // Fold contributions in node order: a fixed floating-point combine order.
   switch (op) {
     case Slot::Op::kNone:
       break;
@@ -120,43 +98,27 @@ void BarrierManager::barrier(int node) { arrive_and_wait(node, 0); }
 
 double BarrierManager::reduce_sum(int node, double v) {
   const std::uint64_t parity = epoch_ & 1;
-  if (deferred_) {
-    Slot& s = slots_[static_cast<std::size_t>(node)];
-    s.op = Slot::Op::kSum;
-    s.scalar = v;
-  } else {
-    scalar_acc_ = arrived_ == 0 ? v : scalar_acc_ + v;
-  }
+  Slot& s = slots_[static_cast<std::size_t>(node)];
+  s.op = Slot::Op::kSum;
+  s.scalar = v;
   arrive_and_wait(node, sizeof(double));
   return scalar_result_[parity];
 }
 
 double BarrierManager::reduce_max(int node, double v) {
   const std::uint64_t parity = epoch_ & 1;
-  if (deferred_) {
-    Slot& s = slots_[static_cast<std::size_t>(node)];
-    s.op = Slot::Op::kMax;
-    s.scalar = v;
-  } else {
-    scalar_acc_ = arrived_ == 0 ? v : (v > scalar_acc_ ? v : scalar_acc_);
-  }
+  Slot& s = slots_[static_cast<std::size_t>(node)];
+  s.op = Slot::Op::kMax;
+  s.scalar = v;
   arrive_and_wait(node, sizeof(double));
   return scalar_result_[parity];
 }
 
 void BarrierManager::reduce_vec_sum(int node, std::span<double> inout) {
   const std::uint64_t parity = epoch_ & 1;
-  if (deferred_) {
-    Slot& s = slots_[static_cast<std::size_t>(node)];
-    s.op = Slot::Op::kVec;
-    s.vec.assign(inout.begin(), inout.end());
-  } else if (arrived_ == 0) {
-    vec_acc_.assign(inout.begin(), inout.end());
-  } else {
-    PRESTO_CHECK(vec_acc_.size() == inout.size(),
-                 "reduce_vec_sum size mismatch");
-    for (std::size_t i = 0; i < inout.size(); ++i) vec_acc_[i] += inout[i];
-  }
+  Slot& s = slots_[static_cast<std::size_t>(node)];
+  s.op = Slot::Op::kVec;
+  s.vec.assign(inout.begin(), inout.end());
   arrive_and_wait(node, inout.size() * sizeof(double));
   const auto& result = vec_result_[parity];
   for (std::size_t i = 0; i < inout.size(); ++i) inout[i] = result[i];

@@ -7,14 +7,14 @@
 // imbalance as synchronization time (the effect the paper highlights for
 // Adaptive in §5.1).
 //
-// Windowed engines (sim/engine.h): arrivals from concurrently-draining lanes
-// may not fold into shared accumulators, so each node records its arrival
-// time and reduction contribution in a private per-node slot and parks; the
-// window-boundary scan (BoundaryOp::kBarrier) detects a complete epoch,
-// folds the contributions in node order — a fixed floating-point combine
-// order, independent of arrival order and of how lanes were partitioned over
-// workers — publishes the result, advances the epoch and wakes every node at
-// the release time.
+// The engine is windowed (sim/engine.h): arrivals from concurrently-draining
+// lanes may not fold into shared accumulators, so each node records its
+// arrival time and reduction contribution in a private per-node slot and
+// parks; the window-boundary scan (BoundaryOp::kBarrier) detects a complete
+// epoch, folds the contributions in node order — a fixed floating-point
+// combine order, independent of arrival order and of how lanes were
+// partitioned over workers — publishes the result, advances the epoch and
+// wakes every node at the release time.
 #pragma once
 
 #include <cstdint>
@@ -48,9 +48,9 @@ class BarrierManager {
   void set_trace_hooks(trace::Hooks* h) { trace_ = h; }
 
  private:
-  // Deferred arrival of one node (windowed mode): written only by the
-  // owning node's lane during a window, read and reset only by the boundary
-  // scan — the pool's window barrier orders the two.
+  // Deferred arrival of one node: written only by the owning node's lane
+  // during a window, read and reset only by the boundary scan — the pool's
+  // window barrier orders the two.
   struct Slot {
     enum class Op : std::uint8_t { kNone, kSum, kMax, kVec };
     bool arrived = false;
@@ -74,17 +74,12 @@ class BarrierManager {
   const sim::Time per_byte_;
   trace::Hooks* trace_ = nullptr;
 
-  const bool deferred_;       // windowed engine: per-slot arrivals
-  std::vector<Slot> slots_;   // [node]; deferred mode only
+  std::vector<Slot> slots_;  // [node]
 
   std::uint64_t epoch_ = 0;
-  int arrived_ = 0;
-  sim::Time max_arrive_ = 0;
-  // Scalar and vector accumulators, double-buffered by epoch parity so the
-  // next collective cannot clobber a result before every node consumed it.
-  double scalar_acc_ = 0.0;
+  // Results, double-buffered by epoch parity so the next collective cannot
+  // clobber a result before every node consumed it.
   double scalar_result_[2] = {0.0, 0.0};
-  std::vector<double> vec_acc_;
   std::vector<double> vec_result_[2];
 };
 

@@ -39,16 +39,14 @@ struct MachineConfig {
   sim::Time barrier_latency = sim::microseconds(5);  // CM-5 control network
   sim::Time reduce_per_byte = 50;                    // control-network combine
   std::uint64_t seed = 0x5EEDF00DULL;
-  // Host-side backend (fibers on one thread, or lanes on a worker pool); only
-  // host speed differs across backends within one canon (see `window`).
+  // Host-side backend (lanes drained on one thread, or on a worker pool);
+  // only host speed differs across backends.
   sim::Backend backend = sim::default_backend();
-  // Conservative-window engine (sim/engine.h): 0 keeps the classic
-  // single-lane engine (every legacy golden number unchanged). Any positive
-  // width — clamped to the network's minimum latency — switches to the
-  // windowed canon, whose results are bit-identical across backends and
-  // worker counts but deliberately distinct from the legacy canon (node-order
-  // reductions, window-granular interleaving). Backend kParallel implies
-  // windowed and derives the width from the network when this is 0.
+  // Window width of the conservative-window engine (sim/engine.h) every
+  // System runs on: 0 (the default) derives it from the network's minimum
+  // latency (net::Network::min_latency); a positive width is clamped to
+  // that. Results are bit-identical across backends and worker counts for a
+  // given width.
   sim::Time window = 0;
   // Worker threads draining lanes under backend kParallel. 0 = the
   // PRESTO_WORKERS environment variable, falling back to

@@ -56,26 +56,24 @@ int default_workers(int nodes) {
 
 System::System(const MachineConfig& cfg, ProtocolKind kind)
     : cfg_(cfg), kind_(kind), rec_(cfg.nodes), engine_(cfg.backend) {
-  if (cfg.backend == sim::Backend::kParallel || cfg.window > 0) {
-    // Windowed (conservative-lookahead) execution. The width may not exceed
-    // the network's minimum cross-node latency, or staged boundary flushes
-    // could land in a destination lane's past.
-    sim::Time w = cfg.window > 0 ? cfg.window : cfg.net.wire_latency;
-    if (w > cfg.net.wire_latency) w = cfg.net.wire_latency;
-    if (w < 1) w = 1;
-    cfg_.window = w;
-    cfg_.workers = cfg.backend == sim::Backend::kParallel
-                       ? (cfg.workers > 0 ? cfg.workers
-                                          : default_workers(cfg.nodes))
-                       : 1;
-    engine_.enable_windows(w, cfg.nodes, cfg_.workers);
-  }
+  // Every System runs windowed (conservative lookahead). The width may not
+  // exceed the network's minimum cross-node latency, or staged boundary
+  // flushes could land in a destination lane's past.
+  const sim::Time lookahead = net::Network::min_latency(cfg.net);
+  sim::Time w = cfg.window > 0 && cfg.window < lookahead ? cfg.window
+                                                         : lookahead;
+  if (w < 1) w = 1;
+  cfg_.window = w;
+  cfg_.workers = cfg.backend == sim::Backend::kParallel
+                     ? (cfg.workers > 0 ? cfg.workers
+                                        : default_workers(cfg.nodes))
+                     : 1;
+  engine_.enable_windows(w, cfg.nodes, cfg_.workers);
   net_ = std::make_unique<net::Network>(engine_, cfg.nodes, cfg.net);
   space_ = std::make_unique<mem::GlobalSpace>(cfg.nodes, cfg.mem);
-  if (engine_.windowed())
-    space_->set_grow_gate([this](std::function<void()> fn) {
-      engine_.boundary_gate(std::move(fn));
-    });
+  space_->set_grow_gate([this](std::function<void()> fn) {
+    engine_.boundary_gate(std::move(fn));
+  });
   switch (kind) {
     case ProtocolKind::kStache:
       protocol_ = std::make_unique<proto::StacheProtocol>(
@@ -114,12 +112,11 @@ check::Oracle& System::enable_oracle(check::FailMode fail) {
   space_->set_access_observer(oracle_.get());
   protocol_->set_coherence_observer(oracle_.get());
   net_->set_observer(oracle_.get());
-  // Windowed engine: replay the oracle's per-lane buffers at every window
-  // boundary. Captures the System (not the oracle) so a replacement oracle
-  // inherits the slot without re-registration.
-  if (engine_.windowed())
-    engine_.set_boundary_op(sim::BoundaryOp::kOracle,
-                            [this] { oracle_->replay_window(); });
+  // Replay the oracle's per-lane buffers at every window boundary. Captures
+  // the System (not the oracle) so a replacement oracle inherits the slot
+  // without re-registration.
+  engine_.set_boundary_op(sim::BoundaryOp::kOracle,
+                          [this] { oracle_->replay_window(); });
   // Replacing the observers displaced an attached tracer; put a fresh one
   // back on top, forwarding to the new oracle. (Copy the config first: the
   // reference would dangle once enable_trace replaces the tracer.)
@@ -192,7 +189,7 @@ void System::run(const std::function<void(NodeCtx&)>& body) {
   host.direct_resumes = engine_.direct_resumes();
   host.backend = sim::backend_name(engine_.backend());
   host.windows = engine_.windows_run();
-  host.workers = engine_.windowed() ? engine_.workers() : 1;
+  host.workers = engine_.workers();
   const sim::WindowPoolStats wps = engine_.window_stats();
   host.win_barrier_wait_ns = wps.barrier_wait_ns;
   host.win_drain_ns = wps.drain_ns;

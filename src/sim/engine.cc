@@ -56,6 +56,10 @@ void Engine::check_delay(Time delay) const {
 }
 
 void Engine::push_into(Lane& l, Time t, InlineFn fn) {
+  push_keyed(l, EventKey{t, l.seq++}, std::move(fn));
+}
+
+void Engine::push_keyed(Lane& l, EventKey k, InlineFn fn) {
   std::uint32_t s;
   if (!l.free.empty()) {
     s = l.free.back();
@@ -68,7 +72,7 @@ void Engine::push_into(Lane& l, Time t, InlineFn fn) {
   slot(l, s) = std::move(fn);
 
   // 4-ary sift-up keyed on (t, seq).
-  HeapEntry e{t, l.seq++, s};
+  HeapEntry e{k.t, k.seq, s};
   std::size_t i = l.heap.size();
   l.heap.push_back(e);
   while (i > 0) {
@@ -263,7 +267,12 @@ void Engine::run_windowed() {
               std::chrono::steady_clock::now() - t0)
               .count());
     } else {
-      for (int li = 0; li < num_lanes(); ++li) drain_lane(li);
+      // Lanes with nothing below the cap are skipped: no drain can add
+      // to another lane's queue, so they stay idle all window.
+      for (int li = 0; li < num_lanes(); ++li) {
+        const Lane& l = lane(li);
+        if (!l.heap.empty() && l.heap[0].t < cap) drain_lane(li);
+      }
       run_boundary();
     }
   }

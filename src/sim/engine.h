@@ -6,8 +6,10 @@
 // execution is sequentially deterministic. Every lane has one event loop:
 // drain_lane() pops events on run()'s caller (or a pool worker) until one
 // resumes a processor, and from then on whichever processor yields or blocks
-// drives its own lane inline (see processor.h). The legacy engine (window 0,
-// the default) is lane 0 alone, with no cap.
+// drives its own lane inline (see processor.h). runtime::System always runs
+// windowed (below); an Engine that never calls enable_windows() is lane 0
+// alone, with no cap — the bare event loop unit tests and host-cost probes
+// drive directly.
 //
 // The queue is built for host throughput: closures live in a slab of
 // fixed-size slots recycled through a freelist (no per-event heap
@@ -32,8 +34,16 @@
 // home, ccached's counters per node). So the lanes may be drained in any
 // order — or concurrently by a worker pool (Backend::kParallel,
 // sim/parallel.h) — and the result is bit-identical to draining them
-// serially in lane order. Windowed mode is opt-in; the legacy single lane
-// keeps every legacy golden number.
+// serially in lane order.
+//
+// Run-ahead: a processor computing between events yields only when its
+// clock passes the next event of its lane *below the cap* (yield_horizon), so
+// a processor whose lane has nothing below the cap runs on past the cap to
+// its next block. Stolen handler time is charged only while a processor is
+// not parked (proto/protocol.cc), so a message that arrives during that span
+// and is handled after the processor has parked is not charged to it. This
+// is a deliberate approximation (DESIGN.md §2): a yield at the cap would
+// charge it, at a large host cost.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +54,7 @@
 #include "sim/fiber.h"
 #include "sim/inline_fn.h"
 #include "sim/time.h"
+#include "util/check.h"
 
 namespace presto::trace {
 class Hooks;
@@ -98,6 +109,33 @@ class Engine {
     push_event_on(lane, t, InlineFn(std::forward<F>(fn)));
   }
 
+  // An event's ordering key: events run in (t, seq) order on their lane.
+  struct EventKey {
+    Time t;
+    std::uint64_t seq;
+  };
+  // Reserves the key schedule_on(lane, t, ...) would assign at this instant
+  // (t clamped to the lane's clock, the lane's next sequence number) without
+  // scheduling anything. A FIFO of future events (a channel's deliveries, a
+  // node's handler dispatches) reserves each item's key at the moment one
+  // event per item would be scheduled, and keeps only its head in the heap;
+  // since keys are totally ordered, pushing a reserved key later pops it
+  // exactly where it would have popped had it been pushed at reservation.
+  // Callable only by the context that owns the lane (see drain_lane).
+  EventKey reserve_key(int lane_id, Time t) {
+    Lane& l = lane(lane_id);
+    return EventKey{t < l.now ? l.now : t, l.seq++};
+  }
+  // Schedules fn under a key from reserve_key on the same lane. The key must
+  // not be in the lane's past.
+  template <typename F>
+  void schedule_key(int lane_id, EventKey k, F&& fn) {
+    Lane& l = lane(lane_id);
+    PRESTO_CHECK(k.t >= l.now,
+                 "event key " << k.t << " in the lane's past " << l.now);
+    push_keyed(l, k, InlineFn(std::forward<F>(fn)));
+  }
+
   // Time of the event currently executing (or the last one executed) on the
   // calling context's lane. Outside any lane in windowed mode this is the
   // current window's watermark.
@@ -112,7 +150,7 @@ class Engine {
   // yield when their local clock passes it, so cross-processor effects
   // interleave at event granularity; an event beyond the lane's cap cannot
   // run until the next window, so a computing processor need not yield for
-  // it (legacy: no cap, so this is the queue head).
+  // it (a bare single-lane engine has no cap: this is the queue head).
   Time yield_horizon() const {
     const Lane& l =
         windowed_ && tls_engine_ == this
@@ -164,7 +202,7 @@ class Engine {
   }
 
   // Drains one lane up to its cap; resumed processors drive it inline
-  // meanwhile. Called by run() (lane 0 alone in legacy mode, every lane per
+  // meanwhile. Called by run() (lane 0 alone on a bare engine, every lane per
   // window when windowed) or concurrently by a WindowPool; lanes share no
   // mutable state during a drain, so any order gives the identical result.
   void drain_lane(int lane);
@@ -219,7 +257,10 @@ class Engine {
     return a.t != b.t ? a.t < b.t : a.seq < b.seq;
   }
 
-  static constexpr std::uint32_t kSlabShift = 8;  // 256 slots per slab chunk
+  // 32 slots (2 KiB) per slab chunk: a lane holds few pending events once
+  // channel and dispatch FIFOs keep only their head in the heap, so a small
+  // first chunk keeps the cost of a machine's many mostly idle lanes low.
+  static constexpr std::uint32_t kSlabShift = 5;
   static constexpr std::uint32_t kSlabSize = 1u << kSlabShift;
 
   // One event lane: a private queue + clock. Legacy mode is exactly one
@@ -254,6 +295,7 @@ class Engine {
   void push_event(Time t, InlineFn fn);             // calling context's lane
   void push_event_on(int lane, Time t, InlineFn fn);
   void push_into(Lane& l, Time t, InlineFn fn);
+  void push_keyed(Lane& l, EventKey k, InlineFn fn);
   std::uint32_t pop_min(Lane& l);  // removes the root, returns its slot index
 
   // Executes the lane's next event; returns the processor it resumed, or
@@ -281,7 +323,7 @@ class Engine {
 
   const Backend backend_;
   std::vector<std::unique_ptr<Lane>> lanes_;
-  Lane* lane0_;  // lanes_[0], cached for the legacy hot path
+  Lane* lane0_;  // lanes_[0], cached for the bare engine's hot path
 
   bool windowed_ = false;
   Time window_ = 0;

@@ -9,7 +9,7 @@
 // when an event resumes a *different* processor or the lane is empty or at
 // its window cap (back to the lane's drain loop). The common case, a
 // processor yielding and resuming with no other processor scheduled in
-// between, costs zero context switches, in legacy and windowed mode alike.
+// between, costs zero context switches.
 // A switch costs one user-level stack switch (~tens of ns).
 //
 // Application code advances its local virtual clock with charge() and parks

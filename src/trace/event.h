@@ -6,12 +6,11 @@
 // pins built on it) a function of simulated behaviour alone, not of compiler
 // layout.
 //
-// `seq` is a global monotone sequence number stamped at record time. Exactly
-// one execution context runs at any moment (sim/engine.h), so the sequence
-// is a deterministic total order of trace events — the canonical stream is
-// simply all per-node buffers merged by seq. The windowed engine stamps seq
-// at window boundaries instead, so its stream is byte-identical on the
-// serial and parallel backends (tests/parallel_equivalence_test.cc).
+// `seq` is a global monotone sequence number, stamped at window boundaries
+// in node order, then append order — a deterministic total order of trace
+// events, so the canonical stream is all per-node buffers merged by seq and
+// is byte-identical on the serial and parallel backends
+// (tests/parallel_equivalence_test.cc).
 #pragma once
 
 #include <cstdint>

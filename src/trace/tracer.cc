@@ -14,11 +14,10 @@ Tracer::Tracer(const TraceConfig& cfg, mem::GlobalSpace& space,
     : cfg_(cfg),
       space_(space),
       engine_(engine),
-      deferred_(engine != nullptr && engine->windowed()),
-      bufs_(deferred_ ? static_cast<std::size_t>(space.nodes()) : 1),
-      shards_(deferred_ ? static_cast<std::size_t>(space.nodes()) : 1),
-      buf_mask_(deferred_ ? ~std::size_t{0} : 0),
-      shard_mask_(deferred_ ? ~std::size_t{0} : 0),
+      bufs_(engine != nullptr ? static_cast<std::size_t>(space.nodes()) : 1),
+      shards_(engine != nullptr ? static_cast<std::size_t>(space.nodes()) : 1),
+      buf_mask_(engine != nullptr ? ~std::size_t{0} : 0),
+      shard_mask_(engine != nullptr ? ~std::size_t{0} : 0),
       node_events_(static_cast<std::size_t>(space.nodes()), 0),
       node_dropped_(static_cast<std::size_t>(space.nodes()), 0),
       state_(static_cast<std::size_t>(space.nodes())),
@@ -30,7 +29,8 @@ Tracer::Tracer(const TraceConfig& cfg, mem::GlobalSpace& space,
   for (std::size_t k = 0; k < kNumEventKinds; ++k)
     kind_enabled_[k] =
         (cfg_.categories & event_kind_category(static_cast<EventKind>(k))) != 0;
-  if (deferred_) {
+  if (engine_ != nullptr) {
+    PRESTO_CHECK(engine_->windowed(), "the tracer needs a windowed engine");
     // Overwrites any previous tracer's slot (enable_oracle re-attaches).
     engine_->set_boundary_op(sim::BoundaryOp::kTrace,
                              [this] { stamp_window(); });
@@ -63,7 +63,7 @@ void Tracer::emit(EventKind k, int node, sim::Time t, std::uint64_t block,
   ev.t = static_cast<std::uint64_t>(t);
   ev.block = block;
   // Events buffer unstamped; stamp_window() assigns the canonical sequence
-  // in bulk (window boundaries, or finalize on serial engines).
+  // in bulk (window boundaries and finalize).
   ev.seq = 0;
   ev.arg = arg;
   ev.kind = static_cast<std::uint16_t>(k);
@@ -75,18 +75,9 @@ void Tracer::emit(EventKind k, int node, sim::Time t, std::uint64_t block,
 }
 
 Event* Tracer::refill(NodeBuf& buf) {
-  if (!buf.chunks.empty()) {
-    buf.chunks.back()->n = kChunkEvents;  // sealed full
-    // Serial engines stamp the sealed chunk here, while its 64 KiB is still
-    // cache-resident: append order IS the canonical order (single buffer),
-    // so the eager stamp assigns exactly what the finalize walk would — but
-    // a deferred walk over the full trace re-streams every chunk from DRAM,
-    // which at millions of events costs more than the stores that built
-    // them. Windowed engines must wait for the boundary (canonical order is
-    // node-major per window), and get the same warmth from stamping every
-    // window.
-    if (!deferred_) stamp_window();
-  }
+  // Sealed full; stamped at the next window boundary (canonical order is
+  // node-major per window), while its chunk is still warm.
+  if (!buf.chunks.empty()) buf.chunks.back()->n = kChunkEvents;
   // Default-init, not make_unique: value-initialization would memset the
   // whole chunk that the cursor is about to overwrite anyway — with a fresh
   // chunk every 2048 events, that zeroing pass doubles the append path's
@@ -342,11 +333,9 @@ void Tracer::finalize(sim::Time exec_time, const char* protocol_name) {
   exec_time_ = exec_time;
   protocol_name_ = protocol_name;
   {
-    // Stamp anything not yet sequenced — everything since the last window
-    // boundary (windowed), or the whole emission-order buffer (serial, where
-    // the bulk stamp reproduces exactly the seq an emit-time counter would
-    // have assigned). Then fold the summary shards (node order, like
-    // stamping) and the per-node append/drop counts.
+    // Stamp anything not yet sequenced (everything since the last window
+    // boundary). Then fold the summary shards (node order, like stamping)
+    // and the per-node append/drop counts.
     stamp_window();
     for (std::size_t i = 0; i < node_events_.size(); ++i) {
       summary_.events += node_events_[i];

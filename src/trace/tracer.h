@@ -1,8 +1,8 @@
 // The tracer: turns the simulator's observation hooks into a deterministic
 // typed event stream plus an online accounting summary.
 //
-// Buffering follows net/record_ring.h's arena discipline at event
-// granularity: fixed 32-byte POD events are appended through a raw write
+// Buffering is chunked, like net/record_ring.h, at event granularity:
+// fixed 32-byte POD events are appended through a raw write
 // cursor into 2048-event chunks (no per-event allocation; one 64 KiB chunk
 // allocation per 2048 events, sized under the allocator's mmap threshold so
 // chunk memory recycles through the heap arena instead of costing a fresh
@@ -11,11 +11,10 @@
 // append path is branch-lean by construction: category filtering is one
 // indexed load from a per-kind enable table precomputed at construction, the
 // store is a plain cursor write, and the canonical sequence number is never
-// assigned at emit time — events buffer unstamped and are stamped in bulk at
-// window boundaries (windowed engines, BoundaryOp::kTrace) or at finalize
-// (serial engines, where the single emission-order buffer makes the stamp
-// pass reproduce exactly the dense seq an emit-time counter would have
-// produced — digests are byte-identical across the two schemes). Buffers are
+// assigned at emit time — events buffer unstamped per node and are stamped
+// in bulk at window boundaries (BoundaryOp::kTrace of the engine the tracer
+// is attached to). A tracer with no engine (a bare probe) keeps one buffer
+// for all nodes and stamps it at finalize. Buffers are
 // bounded by TraceConfig::max_events_per_node; overflow drops events but
 // never silently — dropped counts land in the summary and the file meta.
 //
@@ -203,18 +202,17 @@ class Tracer final : public Hooks,
   std::uint8_t& state(int node, mem::BlockId b) {
     return state_[static_cast<std::size_t>(node)].at(b);
   }
-  // Summary shard the node's hooks accumulate into: one per node under a
-  // windowed engine (hooks fire on concurrently draining lanes), a single
-  // shared shard on serial engines; finalize() folds shards into summary_.
+  // Summary shard the node's hooks accumulate into: one per node with an
+  // engine (hooks fire on concurrently draining lanes), a single shared shard
+  // without one; finalize() folds shards into summary_.
   Summary& sum(int node) {
     return shards_[static_cast<std::size_t>(node) & shard_mask_];
   }
   Summary::PhaseTotals& phase_totals(int node);
   // Assigns canonical sequence numbers to every event not yet stamped, in
   // node order then append order — a total order independent of how lanes
-  // were partitioned over workers. Windowed engines run this at every
-  // boundary (BoundaryOp::kTrace); serial engines once at finalize, where
-  // the single emission-order buffer makes it reproduce the emit-order seq.
+  // were partitioned over workers. Runs at every window boundary
+  // (BoundaryOp::kTrace) and once more at finalize.
   void stamp_window();
   // Resolves a pending presend on access (hit) or fault/overwrite (waste).
   void resolve_pending(int node, mem::BlockId b, bool hit, sim::Time t);
@@ -227,10 +225,9 @@ class Tracer final : public Hooks,
   proto::CoherenceObserver* next_coherence_ = nullptr;
   net::Network::Observer* next_net_ = nullptr;
 
-  // Windowed engine attached: per-node buffers and summary shards (lanes
-  // append concurrently), stamped at window boundaries. Serial engines use
-  // one buffer and one shard for all nodes (mask 0), stamped at finalize.
-  const bool deferred_;
+  // Engine attached: per-node buffers and summary shards (lanes append
+  // concurrently), stamped at window boundaries. Without an engine, one
+  // buffer and one shard for all nodes (mask 0), stamped at finalize.
   std::vector<NodeBuf> bufs_;
   std::vector<Summary> shards_;
   const std::size_t buf_mask_;    // node -> buffer index mask

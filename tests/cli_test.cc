@@ -160,16 +160,6 @@ TEST(BackendCliDeath, UnknownBackendNameAborts) {
                "unknown backend 'bogus'.*fiber, parallel");
 }
 
-// Each canon's tolerance: exact when windowed, last bits when legacy.
-TEST(ChecksumGate, ToleranceFollowsTheCanon) {
-  EXPECT_EQ(presto::bench::Scale::from_cli(make_cli({"--backend=parallel"}))
-                .checksum_tol(),
-            0.0);
-  EXPECT_EQ(presto::bench::Scale::from_cli(make_cli({"--backend=fiber"}))
-                .checksum_tol(),
-            1e-12);
-}
-
 presto::apps::AppResult with_checksum(double checksum) {
   presto::apps::AppResult r;
   r.checksum = checksum;

@@ -1,4 +1,5 @@
-// Golden simulated-time statistics, pinned from the seed implementation.
+// Golden simulated-time statistics of small runs, in the one (windowed)
+// canon every System runs.
 //
 // These values freeze the *simulated* behavior of a small Stache run and a
 // small Predictive run: message counts, bytes on the wire, fault counts,
@@ -85,22 +86,22 @@ void check_against(const testutil::WorkloadResult& r, const Golden& g) {
   }
 }
 
-// Values captured from the seed implementation (std::function event queue,
-// closure-based message delivery, std::map schedules) before the host-perf
-// rewrite; both runs end with the same memory/tag hash by construction.
+// Both runs end with the same memory/tag hash by construction. Captured when
+// the windowed engine became the only canon; the single-lane values they
+// replaced are listed in CHANGES.md.
 TEST(GoldenStats, StacheSmallRun) {
-  const Golden g = {6903ull,   196368ull, 16749ull, 249736440, 2496ull,
+  const Golden g = {6903ull,   196368ull, 16500ull, 249729320, 2496ull,
                     1488ull,   963ull,    1314ull,  471ull,    6903ull,
-                    196368ull, 331391500, 0,        667300220, 0ull,
+                    196368ull, 331312060, 0,        667366180, 0ull,
                     0ull,      0ull,      14559042160599073619ull};
   check_against(testutil::run_micro_workload(runtime::ProtocolKind::kStache),
                 g);
 }
 
 TEST(GoldenStats, PredictiveSmallRun) {
-  const Golden g = {7022ull,   201984ull, 18534ull, 244331520, 2496ull,
+  const Golden g = {7022ull,   201984ull, 16232ull, 242737780, 2496ull,
                     1488ull,   564ull,    1332ull,  372ull,    7022ull,
-                    201984ull, 281955600, 31760800, 669356240, 340ull,
+                    201984ull, 281813920, 25684000, 668523160, 340ull,
                     396ull,    330ull,    14559042160599073619ull};
   check_against(
       testutil::run_micro_workload(runtime::ProtocolKind::kPredictive), g);
@@ -135,37 +136,37 @@ const char* kind_id(runtime::ProtocolKind k) {
 TEST(GoldenStats, ProtocolBlockSizeMatrix) {
   using runtime::ProtocolKind;
   const MatrixGolden table[] = {
-      {ProtocolKind::kStache, 32, 6903ull, 196368ull, 16749ull, 249736440,
+      {ProtocolKind::kStache, 32, 6903ull, 196368ull, 16500ull, 249729320,
        2277ull, 14559042160599073619ull},
-      {ProtocolKind::kStache, 128, 1850ull, 121376ull, 4607ull, 72437540,
+      {ProtocolKind::kStache, 128, 1850ull, 121376ull, 4481ull, 72437540,
        611ull, 9683470072194729308ull},
-      {ProtocolKind::kStache, 1024, 435ull, 166704ull, 1174ull, 26442760,
+      {ProtocolKind::kStache, 1024, 435ull, 166704ull, 1123ull, 26442760,
        141ull, 5269624061003381707ull},
-      {ProtocolKind::kPredictive, 32, 7022ull, 201984ull, 18534ull, 244331520,
+      {ProtocolKind::kPredictive, 32, 7022ull, 201984ull, 16232ull, 242737780,
        1896ull, 14559042160599073619ull},
-      {ProtocolKind::kPredictive, 128, 1869ull, 125008ull, 5103ull, 70490520,
+      {ProtocolKind::kPredictive, 128, 1869ull, 125008ull, 4435ull, 70348940,
        500ull, 9683470072194729308ull},
-      {ProtocolKind::kPredictive, 1024, 434ull, 174880ull, 1313ull, 24603360,
+      {ProtocolKind::kPredictive, 1024, 434ull, 174880ull, 1121ull, 24588360,
        84ull, 5269624061003381707ull},
-      {ProtocolKind::kPredictiveAnticipate, 32, 6962ull, 201024ull, 20108ull,
-       237321660, 1662ull, 14559042160599073619ull},
-      {ProtocolKind::kPredictiveAnticipate, 128, 1854ull, 124768ull, 5463ull,
-       68646520, 443ull, 9683470072194729308ull},
-      {ProtocolKind::kPredictiveAnticipate, 1024, 434ull, 174880ull, 1313ull,
-       24603360, 84ull, 5269624061003381707ull},
-      {ProtocolKind::kWriteUpdate, 32, 6882ull, 230208ull, 17897ull,
-       105085720, 957ull, 2800090443976628580ull},
-      {ProtocolKind::kWriteUpdate, 128, 1788ull, 155328ull, 4534ull, 29901120,
+      {ProtocolKind::kPredictiveAnticipate, 32, 6962ull, 201024ull, 15766ull,
+       235095120, 1662ull, 14559042160599073619ull},
+      {ProtocolKind::kPredictiveAnticipate, 128, 1854ull, 124768ull, 4320ull,
+       68035140, 443ull, 9683470072194729308ull},
+      {ProtocolKind::kPredictiveAnticipate, 1024, 434ull, 174880ull, 1121ull,
+       24588360, 84ull, 5269624061003381707ull},
+      {ProtocolKind::kWriteUpdate, 32, 6882ull, 230208ull, 14704ull,
+       102548520, 957ull, 2800090443976628580ull},
+      {ProtocolKind::kWriteUpdate, 128, 1788ull, 155328ull, 3892ull, 29901120,
        255ull, 17181031399765319607ull},
-      {ProtocolKind::kWriteUpdate, 1024, 318ull, 192480ull, 840ull, 11759960,
+      {ProtocolKind::kWriteUpdate, 1024, 318ull, 192480ull, 760ull, 11759960,
        45ull, 15502453886649105430ull},
       // ccached on a workload with no commutative regions must reproduce the
       // Stache rows above bit-for-bit (the fallback-path identity).
-      {ProtocolKind::kCCached, 32, 6903ull, 196368ull, 16749ull, 249736440,
+      {ProtocolKind::kCCached, 32, 6903ull, 196368ull, 16500ull, 249729320,
        2277ull, 14559042160599073619ull},
-      {ProtocolKind::kCCached, 128, 1850ull, 121376ull, 4607ull, 72437540,
+      {ProtocolKind::kCCached, 128, 1850ull, 121376ull, 4481ull, 72437540,
        611ull, 9683470072194729308ull},
-      {ProtocolKind::kCCached, 1024, 435ull, 166704ull, 1174ull, 26442760,
+      {ProtocolKind::kCCached, 1024, 435ull, 166704ull, 1123ull, 26442760,
        141ull, 5269624061003381707ull},
   };
   for (const auto& g : table) {
@@ -207,11 +208,11 @@ struct CcGolden {
 
 TEST(GoldenStats, CCachedReductionMatrix) {
   const CcGolden table[] = {
-      {32, 9060ull, 218976ull, 27590ull, 106303980, 261ull, 4104ull, 4104ull,
+      {32, 9060ull, 218976ull, 23105ull, 103621180, 261ull, 4104ull, 4104ull,
        610398598696613665ull},
-      {128, 8256ull, 271488ull, 26707ull, 103596880, 576ull, 3072ull, 4104ull,
+      {128, 8256ull, 271488ull, 21788ull, 101848480, 576ull, 3072ull, 4104ull,
        13582391546771832539ull},
-      {1024, 1824ull, 389760ull, 9840ull, 32277880, 288ull, 384ull, 4104ull,
+      {1024, 1824ull, 389760ull, 5232ull, 32277880, 288ull, 384ull, 4104ull,
        2918967825027301891ull},
   };
   for (const auto& g : table) {
@@ -277,8 +278,8 @@ TEST(GoldenStats, OceanProtocolPins) {
   using runtime::ProtocolKind;
   const AppGolden table[5] = {
       {ProtocolKind::kStache, 7025760, 444ull, 10176ull, 180ull},
-      {ProtocolKind::kPredictive, 3304760, 252ull, 7104ull, 48ull},
-      {ProtocolKind::kPredictiveAnticipate, 3304760, 252ull, 7104ull, 48ull},
+      {ProtocolKind::kPredictive, 3107760, 252ull, 7104ull, 48ull},
+      {ProtocolKind::kPredictiveAnticipate, 3107760, 252ull, 7104ull, 48ull},
       {ProtocolKind::kWriteUpdate, 2234880, 224ull, 9984ull, 24ull},
       // No commutative regions: identical to the Stache row by construction.
       {ProtocolKind::kCCached, 7025760, 444ull, 10176ull, 180ull},
@@ -297,16 +298,16 @@ TEST(GoldenStats, OceanProtocolPins) {
 TEST(GoldenStats, RankerProtocolPins) {
   using runtime::ProtocolKind;
   // The ranker rows are the protocol's thesis in numbers: the rmw push storm
-  // costs Stache 1196 faults / 55.2ms; privatized logs + merges bring
+  // costs Stache 1182 faults / 54.1ms; privatized logs + merges bring
   // ccached to 0 faults / 8.2ms. (Write-update's row is all-private
   // accumulation + reduce — no shared push traffic at all.)
   const AppGolden table[5] = {
-      {ProtocolKind::kStache, 55205420, 3758ull, 111712ull, 1196ull},
-      {ProtocolKind::kPredictive, 52793200, 3582ull, 109088ull, 1106ull},
-      {ProtocolKind::kPredictiveAnticipate, 52793200, 3582ull, 109088ull,
-       1106ull},
+      {ProtocolKind::kStache, 54121420, 3720ull, 110720ull, 1182ull},
+      {ProtocolKind::kPredictive, 52141980, 3529ull, 107472ull, 1089ull},
+      {ProtocolKind::kPredictiveAnticipate, 52141980, 3529ull, 107472ull,
+       1089ull},
       {ProtocolKind::kWriteUpdate, 291680, 0ull, 0ull, 0ull},
-      {ProtocolKind::kCCached, 8201640, 676ull, 22784ull, 0ull},
+      {ProtocolKind::kCCached, 8197440, 676ull, 22784ull, 0ull},
   };
   apps::RankerParams params;
   params.vertices = 96;

@@ -100,7 +100,7 @@ inline WorkloadResult run_micro_workload(runtime::ProtocolKind kind,
   cfg.backend = backend;
   cfg.trace.enabled = traced;  // in-memory: tests read the stream directly
   cfg.trace.categories = trace_categories;
-  cfg.window = window;            // 0 = legacy single-lane engine
+  cfg.window = window;            // 0 = derived from the network
   cfg.workers = workers;          // kParallel only
   runtime::System sys(cfg, kind);
   auto& space = sys.space();

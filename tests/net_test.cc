@@ -199,5 +199,130 @@ TEST(NetworkWindowed, SelfSendInLaneIsDeliveredInTheSameWindow) {
   EXPECT_EQ(sink.got[0].bytes, "self");
 }
 
+// A burst staged by one source in one window lives in memory once: after the
+// boundary its records sit in their channel's ring, and nothing else holds
+// a copy of their bytes (no per-source staging buffer beside the ring).
+TEST(NetworkWindowed, StagedBurstHoldsOneCopyOfItsBytes) {
+  sim::Engine e(sim::Backend::kFiber);
+  e.enable_windows(/*window=*/100, /*lanes=*/4, /*workers=*/1);
+  NetConfig cfg;
+  cfg.wire_latency = 100;
+  cfg.per_byte = 10;
+  Network net(e, 4, cfg);
+  RecordingSink sink(e);
+  net.set_msg_sink(&sink);
+  const std::size_t idle = net.metadata_bytes();  // channel table, inboxes
+
+  constexpr int kRecords = 200;
+  constexpr std::size_t kLen = 1000;
+  const std::string body(kLen, 'b');
+  e.schedule_on(0, 0, [&] {
+    for (int i = 0; i < kRecords; ++i)
+      net.send_msg(0, 1, kLen, e.now(), body.data(), body.size(), nullptr, 0);
+  });
+  // Next window: the burst is published and none of it has arrived (the
+  // first record arrives at 100 + 1000 * 10).
+  std::size_t after_boundary = 0;
+  e.schedule_on(2, 150, [&] { after_boundary = net.metadata_bytes(); });
+  e.run();
+
+  ASSERT_EQ(sink.got.size(), static_cast<std::size_t>(kRecords));
+  const std::size_t held = after_boundary - idle;
+  EXPECT_GE(held, kRecords * kLen);
+  // One copy: each record's bytes plus a header of at most 32 bytes, and at
+  // most 8 KiB of chunk headers and last-chunk slack for the channel.
+  EXPECT_LE(held, kRecords * (kLen + 32) + 8192)
+      << "staged records held more than once";
+}
+
+// A sink that holds every record for a handler occupancy, as the protocol
+// layer does: dispatch at max(arrival, busy) + kHold.
+struct HoldingSink final : Network::MsgSink {
+  static constexpr sim::Time kHold = 10;
+  HoldingSink(sim::Engine& e, std::vector<std::string>* log)
+      : engine(e), log(log) {}
+  sim::Time on_arrival(int, const std::byte* rec, std::size_t len) override {
+    log->push_back("A" + std::string(reinterpret_cast<const char*>(rec), len) +
+                   "@" + std::to_string(engine.now()));
+    busy = (engine.now() > busy ? engine.now() : busy) + kHold;
+    return busy;
+  }
+  void on_msg(int, const std::byte* rec, std::size_t len) override {
+    log->push_back("M" + std::string(reinterpret_cast<const char*>(rec), len) +
+                   "@" + std::to_string(engine.now()));
+  }
+  sim::Engine& engine;
+  std::vector<std::string>* log;
+  sim::Time busy = 0;
+};
+
+// A channel keeps only its next delivery in the heap and a node only its next
+// dispatch; the later ones are chained in when their predecessor runs, under
+// the (time, seq) key reserved when one event per record would have been
+// scheduled. Ties with other events at equal times must therefore break as
+// if every record had its own event: events scheduled before the record's
+// key was reserved run first, events scheduled after it run after — even
+// when they were scheduled before the chained event entered the heap.
+TEST(NetworkChaining, ChainedEventsKeepTheUnchainedTieOrder) {
+  sim::Engine e;
+  NetConfig cfg;
+  cfg.wire_latency = 100;
+  cfg.per_byte = 0;
+  Network net(e, 2, cfg);
+  std::vector<std::string> log;
+  HoldingSink sink(e, &log);
+  net.set_msg_sink(&sink);
+  auto mark = [&](const char* name, sim::Time at) {
+    e.schedule_at(at, [&log, &e, name] {
+      log.push_back(std::string(name) + "@" + std::to_string(e.now()));
+    });
+  };
+  e.schedule_at(0, [&] {
+    mark("X0", 100);  // before the records' keys: runs first at its time
+    mark("P", 120);
+    send(net, 0, 1, 8, 0, "1");  // arrives 100, dispatched 110
+    send(net, 0, 1, 8, 0, "2");  // arrives 101 (FIFO clamp), dispatched 120
+    send(net, 0, 1, 8, 0, "3");  // arrives 102, dispatched 130
+    mark("Y1", 101);  // after delivery 2's key, before it is chained in
+  });
+  e.schedule_at(105, [&] { mark("Q", 120); });  // after dispatch 2's key
+  e.schedule_at(115, [&] { mark("R", 130); });  // before dispatch 3 chains
+  e.run();
+  // A fresh key at chaining time would put Y1 before A2 and R before M3.
+  EXPECT_EQ(log, (std::vector<std::string>{
+                     "X0@100", "A1@100", "A2@101", "Y1@101", "A3@102",
+                     "M1@110", "P@120", "M2@120", "Q@120", "M3@130",
+                     "R@130"}));
+}
+
+// The same for records staged inside a window: their keys are reserved at
+// the boundary, after everything the destination lane scheduled during the
+// window and before anything it schedules in the next.
+TEST(NetworkChaining, StagedRecordsTakeTheirKeysAtTheBoundary) {
+  sim::Engine e(sim::Backend::kFiber);
+  e.enable_windows(/*window=*/50, /*lanes=*/2, /*workers=*/1);
+  NetConfig cfg;
+  cfg.wire_latency = 100;
+  cfg.per_byte = 0;
+  Network net(e, 2, cfg);
+  std::vector<std::string> log;
+  HoldingSink sink(e, &log);
+  net.set_msg_sink(&sink);
+  auto mark = [&](const char* name, sim::Time at) {
+    e.schedule_at(at, [&log, &e, name] {
+      log.push_back(std::string(name) + "@" + std::to_string(e.now()));
+    });
+  };
+  e.schedule_on(1, 0, [&] { mark("X", 100); });  // window 1: before the flush
+  e.schedule_on(0, 0, [&] {
+    send(net, 0, 1, 8, e.now(), "1");  // staged: arrives 100
+    send(net, 0, 1, 8, e.now(), "2");  // staged: arrives 101
+  });
+  e.schedule_on(1, 60, [&] { mark("Y", 101); });  // window 2: after it
+  e.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"X@100", "A1@100", "A2@101",
+                                           "Y@101", "M1@110", "M2@120"}));
+}
+
 }  // namespace
 }  // namespace presto::net

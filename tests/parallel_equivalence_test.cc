@@ -108,10 +108,10 @@ std::string protocol_suffix(ProtocolKind k) {
 }
 
 // ---- Golden matrix ----------------------------------------------------------
-// The windowed canon, frozen. These are NEW pins, deliberately distinct from
-// the legacy single-lane canon in golden_stats_test.cc (node-order barrier
-// reductions, window-granular message interleaving, boundary-stamped trace
-// order); any drift here means windowed simulated behavior changed.
+// The windowed canon, frozen: messages, bytes, exec time, memory image and
+// trace digest of every protocol at three block sizes (golden_stats_test.cc
+// pins the same runs' event and fault counts); any drift here means
+// simulated behavior changed.
 
 struct WindowedPin {
   ProtocolKind kind;
@@ -163,9 +163,8 @@ constexpr WindowedPin kWindowedPins[] = {
     {ProtocolKind::kWriteUpdate, 1024,
      318ull, 192480ull, 11759960ull, 0xd723c7aca497fc16ull,
      1689ull, 0x0d1d0557112e81f3ull},
-    // ccached under the windowed canon, no commutative regions: must equal
-    // the Stache rows above exactly (same fallback-path identity the legacy
-    // canon pins in golden_stats_test.cc).
+    // ccached with no commutative regions: must equal the Stache rows above
+    // exactly (the fallback-path identity golden_stats_test.cc also pins).
     {ProtocolKind::kCCached, 32,
      6903ull, 196368ull, 249729320ull, 0xca0c1bb53c718353ull,
      32886ull, 0xd93535fc91dc9e95ull},

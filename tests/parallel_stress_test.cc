@@ -26,11 +26,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "check/bughook.h"
+#include "net/network.h"
 #include "runtime/machine.h"
+#include "sim/parallel.h"
 #include "golden_workload.h"
 
 namespace presto {
@@ -233,6 +236,70 @@ TEST(ParallelComputeDrain, HelpersDrainComputeWindowsAndMatchSerial) {
     EXPECT_EQ(serial.cc_entries, par.cc_entries);
     expect_equivalent(serial, par);
   }
+}
+
+// ---- Channel staging under the pool -----------------------------------------
+// A channel's source lane appends records to its ring while, in the same
+// window, its destination lane delivers (pops) earlier records of the same
+// ring — on different threads whenever the window escalates. Lane 0 burns
+// host time first, so every window escalates, and lanes 1 and 2 burn some
+// too, so the caller and a helper split them. Under TSan (CI's tsan job runs
+// this label) this is the race check of the staging path: the source writes
+// only the ring's tail chunk, the destination reads only published records.
+// Everywhere, the destination must receive exactly what the serial engine
+// delivers, at the same times.
+
+struct StreamLog final : net::Network::MsgSink {
+  explicit StreamLog(sim::Engine& e) : engine(e) {}
+  void on_msg(int dst, const std::byte* rec, std::size_t len) override {
+    got.push_back(std::to_string(dst) + "@" + std::to_string(engine.now()) +
+                  ":" + std::string(reinterpret_cast<const char*>(rec), len));
+  }
+  sim::Engine& engine;
+  std::vector<std::string> got;  // touched only on the destination's lane
+};
+
+struct StreamRun {
+  std::vector<std::string> got;
+  sim::WindowPoolStats pool;
+};
+
+StreamRun run_channel_stream(sim::Backend backend, int workers) {
+  constexpr int kTicks = 150;
+  sim::Engine e(backend);
+  e.enable_windows(kWindow, /*lanes=*/3, workers);
+  net::Network net(e, 3, net::NetConfig{});
+  StreamLog sink(e);
+  net.set_msg_sink(&sink);
+  std::uint64_t sunk[3] = {1, 2, 3};  // per lane: burn results stay live
+  // One tick per window on each lane: lane 0 only burns; lane 2 burns a
+  // little and sends three records to node 1; lane 1 burns a little while
+  // its deliveries pop the 2 -> 1 ring.
+  std::function<void(int, int)> tick = [&](int lane, int left) {
+    sunk[lane] = burn(sunk[lane], lane == 0 ? 40000 : 8000);
+    if (lane == 2)
+      for (int k = 0; k < 3; ++k) {
+        const std::string body = "r" + std::to_string(left) + "." +
+                                  std::to_string(k) + std::string(k * 40, 'x');
+        net.send_msg(2, 1, body.size(), e.now(), body.data(), body.size(),
+                     nullptr, 0);
+      }
+    if (left > 1)
+      e.schedule_in(kWindow, [&tick, lane, left] { tick(lane, left - 1); });
+  };
+  for (int lane = 0; lane < 3; ++lane)
+    e.schedule_on(lane, 0, [&tick, lane] { tick(lane, kTicks); });
+  e.run();
+  return StreamRun{sink.got, e.window_stats()};
+}
+
+TEST(ParallelChannelStaging, DestinationPopsWhileSourceStages) {
+  const StreamRun serial = run_channel_stream(sim::Backend::kFiber, 1);
+  ASSERT_EQ(serial.got.size(), 3u * 150u);
+  const StreamRun pooled = run_channel_stream(sim::Backend::kParallel, 3);
+  EXPECT_GT(pooled.pool.releases, 0u)
+      << "no window escalated; this test has gone vacuous";
+  EXPECT_EQ(pooled.got, serial.got);
 }
 
 // ---- Planted bug: stale sense flag ------------------------------------------

@@ -185,8 +185,8 @@ TEST(Engine, TeardownWithNeverRunProcessorDoesNotHang) {
 // Teardown must be uniform across engine shapes for every processor
 // lifecycle stage: never started, started but never scheduled (engine never
 // ran), and already finished. Each case exercises a distinct destructor path
-// (no fiber at all / Killed unwind / plain free). The shapes cover the
-// legacy single lane, serial windowed lanes, and lane drains on a live
+// (no fiber at all / Killed unwind / plain free). The shapes cover a bare
+// single-lane engine, serial windowed lanes, and lane drains on a live
 // worker pool.
 struct EngineShape {
   const char* name;
