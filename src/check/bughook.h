@@ -24,7 +24,7 @@ struct BugHooks {
   bool drop_presend_data = false;
 
   // Windowed engines with a worker pool only (workers > 1): the network
-  // holds one source's staged outbox back a full window before flushing it
+  // holds one source's staged records back a full window before flushing them
   // (once per run) — the classic conservative-PDES bug of a flush missing
   // its window boundary. Deliveries slip a window, so the parallel run
   // diverges from the serial windowed canon and the parallel-vs-serial

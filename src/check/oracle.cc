@@ -10,21 +10,20 @@
 
 namespace presto::check {
 
-Oracle::Oracle(mem::GlobalSpace& space, const sim::Engine* engine, Mode mode,
+Oracle::Oracle(mem::GlobalSpace& space, const sim::Engine& engine, Mode mode,
                FailMode fail)
     : space_(space),
       engine_(engine),
       mode_(mode),
       fail_(fail) {
   ring_.resize(kRingSize);
-  if (engine != nullptr)
-    lanes_.resize(static_cast<std::size_t>(engine->num_lanes()));
+  lanes_.resize(static_cast<std::size_t>(engine.num_lanes()));
   ensure_block(space_.num_blocks() == 0 ? 0 : space_.num_blocks() - 1);
 }
 
 Oracle::LaneBuf* Oracle::defer_target() {
-  if (engine_ == nullptr || !engine_->in_lane_context()) return nullptr;
-  return &lanes_[static_cast<std::size_t>(engine_->current_lane())];
+  if (!engine_.in_lane_context()) return nullptr;
+  return &lanes_[static_cast<std::size_t>(engine_.current_lane())];
 }
 
 std::size_t Oracle::stash(LaneBuf& lb, const void* data, std::size_t n) {
@@ -83,7 +82,7 @@ void Oracle::on_app_write(int node, mem::BlockId b, std::size_t off,
   if (LaneBuf* lb = defer_target()) {
     DefRec r;
     r.kind = Ev::kWrite;
-    r.t = engine_->now();
+    r.t = engine_.now();
     r.a = static_cast<std::int16_t>(node);
     r.block = b;
     r.off = static_cast<std::uint32_t>(off);
@@ -128,7 +127,7 @@ void Oracle::on_cc_update(int node, mem::BlockId b, std::size_t off,
   if (LaneBuf* lb = defer_target()) {
     DefRec r;
     r.kind = Ev::kCcUpdate;
-    r.t = engine_->now();
+    r.t = engine_.now();
     r.a = static_cast<std::int16_t>(node);
     r.block = b;
     r.off = static_cast<std::uint32_t>(off);
@@ -162,7 +161,7 @@ void Oracle::on_app_read(int node, mem::BlockId b, std::size_t off,
   if (LaneBuf* lb = defer_target()) {
     DefRec r;
     r.kind = Ev::kRead;
-    r.t = engine_->now();
+    r.t = engine_.now();
     r.a = static_cast<std::int16_t>(node);
     r.block = b;
     r.off = static_cast<std::uint32_t>(off);
@@ -214,7 +213,7 @@ void Oracle::on_data_send(int src, int dst, const proto::Msg& m) {
   if (LaneBuf* lb = defer_target()) {
     DefRec r;
     r.kind = Ev::kSend;
-    r.t = engine_->now();
+    r.t = engine_.now();
     r.a = static_cast<std::int16_t>(src);
     r.b = static_cast<std::int16_t>(dst);
     r.block = m.block;
@@ -286,7 +285,7 @@ void Oracle::on_install(int node, mem::BlockId b, const std::byte* data,
   if (LaneBuf* lb = defer_target()) {
     DefRec r;
     r.kind = Ev::kInstall;
-    r.t = engine_->now();
+    r.t = engine_.now();
     r.a = static_cast<std::int16_t>(node);
     r.b = static_cast<std::int16_t>(tag);
     r.block = b;
@@ -328,7 +327,7 @@ void Oracle::on_message(int src, int dst, std::size_t bytes, sim::Time depart,
     // canonical order alongside the replayed checks.
     DefRec r;
     r.kind = Ev::kNet;
-    r.t = engine_->now();
+    r.t = engine_.now();
     r.a = static_cast<std::int16_t>(src);
     r.b = static_cast<std::int16_t>(dst);
     r.block = static_cast<mem::BlockId>(bytes);

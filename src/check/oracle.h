@@ -34,17 +34,19 @@
 // sanitizer CI). Detached, the hot paths pay one null-pointer test
 // (mem/global_space.h read()/write(), proto/protocol.cc post()).
 //
-// Hooks fire on concurrently draining lanes of the windowed engine
-// (sim/engine.h), so they cannot touch the shared shadow directly. Each
-// hook instead records its arguments (payload bytes copied into a per-lane
-// arena) and replay_window() — registered as BoundaryOp::kOracle — applies
-// the window's records against the shadow in merged (time, lane, record)
-// order on the coordinating thread. Tag-state checks then see boundary-time
-// tags rather than event-time tags; that is sound at window granularity:
-// the window never exceeds the network's minimum latency, so any copy a
-// peer gained since the event was recorded stems from a grant chain that
-// began in an earlier window — if it conflicts with the recorded access,
-// the protocol really did let a conflicting copy and an access coexist.
+// The oracle is bound to its System's engine, which runs windowed
+// (sim/engine.h). Hooks fire on the engine's concurrently draining lanes, so
+// they cannot touch the shared shadow directly. A hook inside a lane drain
+// instead records its arguments (payload bytes copied into a per-lane arena)
+// and replay_window() — registered as BoundaryOp::kOracle — applies the
+// window's records against the shadow in merged (time, lane, record) order
+// on the coordinating thread; a hook outside any drain (setup) checks at
+// once. Tag-state checks then see boundary-time tags rather than event-time
+// tags; that is sound at window granularity: the window never exceeds the
+// network's minimum latency, so any copy a peer gained since the event was
+// recorded stems from a grant chain that began in an earlier window — if it
+// conflicts with the recorded access, the protocol really did let a
+// conflicting copy and an access coexist.
 //
 // A 256-event ring of recent accesses/messages is kept for failure triage;
 // the fuzzer embeds its tail in dumped trace files (docs/testing.md).
@@ -83,7 +85,7 @@ class Oracle final : public mem::AccessObserver,
                      public proto::CoherenceObserver,
                      public net::Network::Observer {
  public:
-  Oracle(mem::GlobalSpace& space, const sim::Engine* engine, Mode mode,
+  Oracle(mem::GlobalSpace& space, const sim::Engine& engine, Mode mode,
          FailMode fail);
 
   Mode mode() const { return mode_; }
@@ -179,10 +181,7 @@ class Oracle final : public mem::AccessObserver,
   };
 
   void ensure_block(mem::BlockId b);
-  sim::Time now() const {
-    if (replaying_) return replay_t_;
-    return engine_ != nullptr ? engine_->now() : 0;
-  }
+  sim::Time now() const { return replaying_ ? replay_t_ : engine_.now(); }
   // True when the calling hook must buffer instead of checking (inside a
   // lane drain). Returns the lane's buffer.
   LaneBuf* defer_target();
@@ -203,7 +202,7 @@ class Oracle final : public mem::AccessObserver,
                        std::int64_t delta);
 
   mem::GlobalSpace& space_;
-  const sim::Engine* engine_;
+  const sim::Engine& engine_;
   const Mode mode_;
   const FailMode fail_;
   bool strict_reads_ = false;

@@ -9,16 +9,12 @@ Network::Network(sim::Engine& engine, int nodes, const NetConfig& cfg)
     : engine_(engine),
       nodes_(nodes),
       cfg_(cfg),
+      sources_(static_cast<std::size_t>(nodes)),
       per_node_msgs_(static_cast<std::size_t>(nodes), 0),
       per_node_bytes_(static_cast<std::size_t>(nodes), 0),
       inboxes_(static_cast<std::size_t>(nodes)),
       pools_(engine.workers() > 1 ? static_cast<std::size_t>(nodes) : 1),
       pool_mask_(engine.workers() > 1 ? ~std::size_t{0} : 0) {
-  if (nodes <= kDenseNodeLimit)
-    channels_.resize(static_cast<std::size_t>(nodes) *
-                     static_cast<std::size_t>(nodes));
-  else
-    sparse_.resize(static_cast<std::size_t>(nodes));
   if (engine_.windowed()) {
     PRESTO_CHECK(engine_.window() <= min_latency(),
                  "window width " << engine_.window()
@@ -32,10 +28,9 @@ Network::Network(sim::Engine& engine, int nodes, const NetConfig& cfg)
 
 template <typename F>
 void Network::for_each_channel(F&& f) {
-  for (Channel& ch : channels_) f(ch);
-  for (SrcChannels& sc : sparse_)
+  for (SrcChannels& sc : sources_)
     for (std::uint32_t i = 0; i < sc.count; ++i)
-      f(sc.chunks[i / kSparseChunk][i % kSparseChunk]);
+      f(sc.chunks[i / kChannelChunk][i % kChannelChunk]);
 }
 
 Network::~Network() {
@@ -56,28 +51,28 @@ std::uint64_t Network::bytes_sent() const {
   return n;
 }
 
-Network::Channel& Network::sparse_channel(int src, int dst) {
-  SrcChannels& sc = sparse_[static_cast<std::size_t>(src)];
+Network::Channel& Network::open_channel(int src, int dst) {
+  SrcChannels& sc = sources_[static_cast<std::size_t>(src)];
   if (sc.slot.empty()) sc.slot.resize(static_cast<std::size_t>(nodes_), 0);
   std::uint32_t& s = sc.slot[static_cast<std::size_t>(dst)];
   if (s == 0) {
-    if (sc.count % kSparseChunk == 0)
-      sc.chunks.push_back(std::make_unique<Channel[]>(kSparseChunk));
+    if (sc.count % kChannelChunk == 0)
+      sc.chunks.push_back(std::make_unique<Channel[]>(kChannelChunk));
     s = ++sc.count;
   }
   const std::uint32_t idx = s - 1;
-  return sc.chunks[idx / kSparseChunk][idx % kSparseChunk];
+  return sc.chunks[idx / kChannelChunk][idx % kChannelChunk];
 }
 
 std::size_t Network::metadata_bytes() const {
-  std::size_t n = channels_.capacity() * sizeof(Channel);
-  for (const auto& ch : channels_) n += ch.ring.capacity_bytes();
-  for (const auto& sc : sparse_) {
+  std::size_t n = sources_.capacity() * sizeof(SrcChannels);
+  for (const auto& sc : sources_) {
     n += sc.slot.capacity() * sizeof(std::uint32_t) +
          sc.chunks.capacity() * sizeof(sc.chunks[0]) +
-         sc.chunks.size() * kSparseChunk * sizeof(Channel);
+         sc.chunks.size() * kChannelChunk * sizeof(Channel);
     for (std::uint32_t i = 0; i < sc.count; ++i)
-      n += sc.chunks[i / kSparseChunk][i % kSparseChunk].ring.capacity_bytes();
+      n += sc.chunks[i / kChannelChunk][i % kChannelChunk]
+               .ring.capacity_bytes();
   }
   for (const Inbox& in : inboxes_) n += in.q.capacity() * sizeof(Channel*);
   for (const ChunkPool& p : pools_) n += p.bytes();
@@ -122,29 +117,21 @@ sim::Time Network::route(Channel& ch, int src, int dst, std::size_t bytes,
 void Network::schedule_delivery(Channel& ch, int dst, RecordRing::Pos next) {
   ch.next = next;
   const Record& r = next.rec();
-  engine_.schedule_key(lane_of(dst), sim::Engine::EventKey{r.t, r.seq},
+  engine_.schedule_key(engine_.lane_of(dst),
+                       sim::Engine::EventKey{r.t, r.seq},
                        [this, ch = &ch, dst] { deliver(*ch, dst); });
 }
 
 void Network::deliver(Channel& ch, int dst) {
   const RecordRing::Pos at = ch.next;
   Record& r = at.rec();
-  // Arm the channel's next delivery first, so a send made by the sink below
-  // (a self-send on this channel) finds the channel's state consistent.
   if (const RecordRing::Pos nx = ch.ring.next(at))
     schedule_delivery(ch, dst, nx);
   else
     ch.next = RecordRing::Pos{};
-  const sim::Time when = sink_->on_arrival(dst, r.bytes(), r.len);
-  if (when == MsgSink::kDeliverNow) {
-    PRESTO_CHECK(ch.ring.head() == at,
-                 "record delivered at once behind held records");
-    sink_->on_msg(dst, r.bytes(), r.len);
-    pop_front(ch, dst);
-    return;
-  }
-  // Held: the record's header now carries its dispatch key.
-  const sim::Engine::EventKey k = engine_.reserve_key(lane_of(dst), when);
+  // The record waits in its channel; its header now carries its dispatch key.
+  const sim::Engine::EventKey k = engine_.reserve_key(
+      engine_.lane_of(dst), sink_->on_arrival(dst, r.bytes(), r.len));
   r.t = k.t;
   r.seq = k.seq;
   Inbox& in = inboxes_[static_cast<std::size_t>(dst)];
@@ -153,7 +140,8 @@ void Network::deliver(Channel& ch, int dst) {
 }
 
 void Network::schedule_dispatch(int dst, const Record& r) {
-  engine_.schedule_key(lane_of(dst), sim::Engine::EventKey{r.t, r.seq},
+  engine_.schedule_key(engine_.lane_of(dst),
+                       sim::Engine::EventKey{r.t, r.seq},
                        [this, dst] { dispatch(dst); });
 }
 
@@ -170,7 +158,7 @@ void Network::dispatch(int dst) {
 }
 
 void Network::pop_front(Channel& ch, int dst) {
-  const int lane = lane_of(dst);
+  const int lane = engine_.lane_of(dst);
   ch.ring.pop(pool(lane));
   if (ch.ring.empty() && !ch.drained && !drained_.empty()) {
     ch.drained = true;
@@ -200,10 +188,11 @@ sim::Time Network::send_msg(int src, int dst, std::size_t wire_bytes,
     return arrival;
   }
   PRESTO_CHECK(!ch.staged, "direct send on a channel with staged records");
-  const sim::Engine::EventKey k = engine_.reserve_key(lane_of(dst), arrival);
-  const RecordRing::Pos at = ch.ring.push(pool(lane_of(src)), k.t, k.seq,
-                                          header, header_len, payload,
-                                          payload_len);
+  const sim::Engine::EventKey k =
+      engine_.reserve_key(engine_.lane_of(dst), arrival);
+  const RecordRing::Pos at =
+      ch.ring.push(pool(engine_.lane_of(src)), k.t, k.seq, header,
+                   header_len, payload, payload_len);
   if (!ch.next) schedule_delivery(ch, dst, at);
   return arrival;
 }
@@ -258,7 +247,7 @@ void Network::flush_entry(const Staged& st) {
   // source's records to one destination are exactly one channel's).
   Channel& ch = *st.ch;
   ch.staged = false;
-  const int lane = lane_of(st.dst);
+  const int lane = engine_.lane_of(st.dst);
   const RecordRing::Pos first = ch.ring.unpublished();
   for (RecordRing::Pos p = first; p; p = ch.ring.next_unpublished(p)) {
     Record& r = p.rec();

@@ -12,12 +12,11 @@
 // there until the MsgSink is done with it: no heap allocation in steady
 // state, no closure per message and no second copy.
 //
-// Arrival and dispatch. At a record's arrival the sink's on_arrival() says
-// when it wants the record: at once (on_msg runs inside the arrival event),
-// or at a later dispatch time — the protocol layer's handler occupancy. A
-// held record stays in its channel and joins its destination's inbox, a FIFO
-// of channels in arrival order; on_msg reads it in place at dispatch and the
-// channel pops it afterwards.
+// Arrival and dispatch. At a record's arrival the sink's on_arrival() names
+// its dispatch time — the protocol layer's handler occupancy, or the arrival
+// itself. Every record waits for dispatch in its channel, and the channel
+// joins its destination's inbox, a FIFO of channels in arrival order; at
+// dispatch on_msg reads the record in place and the channel pops it.
 //
 // Chained events. A channel's deliveries are FIFO (arrival times are clamped
 // strictly monotone) and a node's dispatches are FIFO (occupancy ends are
@@ -29,23 +28,16 @@
 // every event in exactly the order one event per record would, while holding
 // one entry per busy channel and per busy node instead of one per record.
 //
-// Channel state (FIFO clamp + ring) lives in one dense nodes² table indexed
-// by src*nodes+dst on machines of up to kDenseNodeLimit nodes: a channel
-// lookup is one multiply-add, and the table is allocated exactly once up
-// front — Channel pointers captured by in-flight events stay stable because
-// the vector never grows. An idle channel holds no chunk: chunks come from
-// and return to a ChunkPool.
-//
-// Above kDenseNodeLimit the dense table would be the largest allocation in
-// the simulator (nodes² channels for traffic that is overwhelmingly
-// neighbor/home-patterned), so each source instead keeps a flat dst->slot
-// index (built lazily on the source's first send) plus a chunked arena of
-// channels materialized on first use. Chunks never move, so Channel pointers
-// are as stable as the dense table's, and both the index and the arena are
-// owned by the source — under the parallel windowed engine they are touched
-// only on the source's lane and by the serial boundary flush, so no lock is
-// needed. metadata_bytes then scales with channels actually used, not
-// nodes².
+// Channels open lazily, at every machine width. Each source keeps a flat
+// dst->slot index (built on the source's first send) and a chunked arena of
+// channels opened on first use; an open channel is two array reads away. So
+// the table grows with the channels a run uses — few, since the paper's
+// workloads talk to neighbors and homes — not with nodes². Chunks never
+// move, so the Channel pointers that events capture stay valid, and both
+// the index and the arena belong to the source: under the parallel windowed
+// engine only the source's lane and the serial boundary flush touch them,
+// so no lock is needed. An idle channel holds no ring chunk: chunks come
+// from and return to a ChunkPool.
 //
 // Windowed engines (sim/engine.h): a cross-node send issued inside a lane
 // drain may not touch the destination lane's state, so its record is
@@ -94,20 +86,17 @@ class Network {
   // only valid for the duration of the call they are passed to.
   class MsgSink {
    public:
-    // on_arrival's answer for "hand the record over now".
-    static constexpr sim::Time kDeliverNow = -1;
-
     // A record reached dst (engine context, at its arrival time). Returns
-    // kDeliverNow to get on_msg at once, or the dispatch time (>= now) at
-    // which on_msg wants it; the record then waits in its channel. A sink
-    // that holds records must hold every record (dispatch is FIFO per
-    // destination). The default delivers at once.
+    // the time at which on_msg wants it, clamped up to now; the record waits
+    // in its channel until then. Dispatch is FIFO per destination, so the
+    // clamped times for one destination must not decrease. The default
+    // dispatches every record at its arrival.
     virtual sim::Time on_arrival(int dst, const std::byte* rec,
                                  std::size_t len) {
       (void)dst;
       (void)rec;
       (void)len;
-      return kDeliverNow;
+      return 0;
     }
     virtual void on_msg(int dst, const std::byte* rec, std::size_t len) = 0;
 
@@ -127,9 +116,8 @@ class Network {
     ~Observer() = default;
   };
 
-  // Widest machine that gets the dense nodes² channel table; larger
-  // machines use the per-source sparse tables.
-  static constexpr int kDenseNodeLimit = 64;
+  // Channels a source opens at once: its arena grows by chunks this size.
+  static constexpr std::uint32_t kChannelChunk = 8;
 
   Network(sim::Engine& engine, int nodes, const NetConfig& cfg);
   ~Network();
@@ -168,16 +156,14 @@ class Network {
   std::uint64_t bytes_from(int src) const {
     return per_node_bytes_[static_cast<std::size_t>(src)];
   }
-  const NetConfig& config() const { return cfg_; }
-  int nodes() const { return nodes_; }
 
-  // Host bytes held by the channel table, the chunks of every record ring
-  // (channels, staging, pools), the inboxes and the staging lists.
+  // Host bytes held by the channel table (per-source headers, indexes and
+  // arenas), the chunks of every record ring (channels, pools), the inboxes
+  // and the staging lists.
   std::size_t metadata_bytes() const;
 
-  // What the pre-sparse dense nodes² channel table would occupy for a
-  // machine this wide — the baseline the scale benches report sub-quadratic
-  // metadata against.
+  // What a dense nodes² channel table would occupy for a machine this wide —
+  // the baseline the scale benches report sub-quadratic metadata against.
   static std::size_t dense_equiv_bytes(int nodes) {
     return static_cast<std::size_t>(nodes) * static_cast<std::size_t>(nodes) *
            sizeof(Channel);
@@ -218,15 +204,13 @@ class Network {
     }
   };
 
-  // Sparse mode (> kDenseNodeLimit nodes): per-source open-channel table.
-  // The dst->slot index array is built on the source's first send; channels
-  // live in fixed-size chunks that never move.
+  // A source's open channels. The dst->slot index is built on the source's
+  // first send; channels live in chunks of kChannelChunk that never move.
   struct SrcChannels {
     std::vector<std::uint32_t> slot;  // dst -> arena slot + 1; 0 = unopened
     std::vector<std::unique_ptr<Channel[]>> chunks;
     std::uint32_t count = 0;
   };
-  static constexpr std::uint32_t kSparseChunk = 8;  // channels per chunk
   // Free chunk bytes a lane's pool keeps across a boundary under a worker
   // pool, where chunks drift from senders' pools to receivers'.
   static constexpr std::size_t kPoolKeepBytes = 64 * 1024;
@@ -234,19 +218,21 @@ class Network {
   // Computes the FIFO-clamped arrival time and records traffic stats.
   sim::Time route(Channel& ch, int src, int dst, std::size_t bytes,
                   sim::Time depart);
+  // The (src, dst) channel; every send looks it up, so the open case is
+  // inline and only the first send on a pair calls open_channel.
   Channel& channel(int src, int dst) {
-    if (!channels_.empty())
-      return channels_[static_cast<std::size_t>(src) *
-                           static_cast<std::size_t>(nodes_) +
-                       static_cast<std::size_t>(dst)];
-    return sparse_channel(src, dst);
+    SrcChannels& sc = sources_[static_cast<std::size_t>(src)];
+    if (!sc.slot.empty()) [[likely]] {
+      const std::uint32_t s = sc.slot[static_cast<std::size_t>(dst)];
+      if (s != 0) [[likely]]
+        return sc.chunks[(s - 1) / kChannelChunk][(s - 1) % kChannelChunk];
+    }
+    return open_channel(src, dst);
   }
-  Channel& sparse_channel(int src, int dst);
+  Channel& open_channel(int src, int dst);
   template <typename F>
   void for_each_channel(F&& f);
 
-  // Lane a node's events run on (lane 0 when windows are off).
-  int lane_of(int node) const { return engine_.windowed() ? node : 0; }
   // Chunk pool of the context running on `lane`.
   ChunkPool& pool(int lane) {
     return pools_[static_cast<std::size_t>(lane) & pool_mask_];
@@ -271,11 +257,7 @@ class Network {
   const NetConfig cfg_;
   MsgSink* sink_ = nullptr;
   Observer* observer_ = nullptr;
-  // Dense nodes² table, [src*nodes + dst]; sized once in the constructor and
-  // never resized (events hold Channel pointers). Empty above
-  // kDenseNodeLimit, where sparse_ takes over.
-  std::vector<Channel> channels_;
-  std::vector<SrcChannels> sparse_;
+  std::vector<SrcChannels> sources_;  // [src]
   // Traffic counters are per-source (the source lane owns its own slots, so
   // concurrent lane drains never share a counter); totals are summed on read.
   std::vector<std::uint64_t> per_node_msgs_;

@@ -153,11 +153,6 @@ class RecordRing {
   RecordRing() = default;
   RecordRing(const RecordRing&) = delete;
   RecordRing& operator=(const RecordRing&) = delete;
-  RecordRing(RecordRing&& o) noexcept
-      : head_(o.head_), pub_(o.pub_), tail_(o.tail_), first_(o.first_) {
-    o.head_ = o.pub_ = Pos{};
-    o.tail_ = o.first_ = nullptr;
-  }
   ~RecordRing() {
     PRESTO_CHECK(tail_ == nullptr, "RecordRing destroyed holding chunks");
   }

@@ -98,7 +98,7 @@ class CCachedProtocol : public StacheProtocol {
     std::vector<std::uint32_t> free;
   };
   // A flush waiting to merge at its home. Entries are copied out of the
-  // dispatch ring (the ring record is only valid during handle()).
+  // channel's record (it is only valid during handle()).
   struct FlushOp {
     std::int32_t src = -1;
     mem::BlockId block = 0;

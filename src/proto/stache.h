@@ -94,7 +94,7 @@ class StacheProtocol : public Protocol {
   }
 
   // Host bytes held by protocol metadata (directory chunks, pending pool,
-  // dispatch rings, scratch) — surfaced as stats::HostCounters::metadata_bytes.
+  // scratch) — surfaced as stats::HostCounters::metadata_bytes.
   std::size_t metadata_bytes() const override;
 
  protected:

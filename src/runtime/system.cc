@@ -108,7 +108,7 @@ System::System(const MachineConfig& cfg, ProtocolKind kind)
 
 check::Oracle& System::enable_oracle(check::FailMode fail) {
   oracle_ = std::make_unique<check::Oracle>(
-      *space_, &engine_, check::mode_for_protocol(protocol_->name()), fail);
+      *space_, engine_, check::mode_for_protocol(protocol_->name()), fail);
   space_->set_access_observer(oracle_.get());
   protocol_->set_coherence_observer(oracle_.get());
   net_->set_observer(oracle_.get());

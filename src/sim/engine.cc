@@ -239,8 +239,8 @@ void Engine::run_windowed() {
       if (!lp->heap.empty() && lp->heap[0].t < watermark)
         watermark = lp->heap[0].t;
     if (watermark == kTimeNever) {
-      // Every heap is empty, but staged cross-lane work (a held-back
-      // mailbox, an unserviced gate) may still exist outside the queues. One
+      // Every heap is empty, but staged cross-lane work (held-back staged
+      // records, an unserviced gate) may still exist outside the queues. One
       // extra boundary pass either schedules it — and the loop continues —
       // or proves quiescence.
       if (final_boundary) break;

@@ -27,7 +27,7 @@
 // (at most the network's minimum cross-node latency, see
 // net::Network::min_latency), drains every lane independently up to its cap,
 // and then runs the registered *boundary operations* in a fixed slot order —
-// network mailbox flush, space growth gates, barrier scan, oracle replay,
+// network staging flush, space growth gates, barrier scan, oracle replay,
 // trace sequence stamping. Lanes share no mutable state during a drain: all
 // cross-node effects are staged and applied at the boundary, and protocol
 // state lives with its home or node (Stache's pending-request pools are per
@@ -171,6 +171,8 @@ class Engine {
   // ignores `workers`. Must be called before any processor or event exists.
   void enable_windows(Time window, int lanes, int workers);
   bool windowed() const { return windowed_; }
+  // Lane a node's events run on: its own when windowed, else lane 0.
+  int lane_of(int node) const { return windowed_ ? node : 0; }
   Time window() const { return window_; }
   int num_lanes() const { return static_cast<int>(lanes_.size()); }
   int workers() const { return workers_; }

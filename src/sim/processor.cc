@@ -7,7 +7,7 @@
 namespace presto::sim {
 
 Processor::Processor(Engine& engine, int id)
-    : engine_(engine), id_(id), lane_(engine.windowed() ? id : 0) {}
+    : engine_(engine), id_(id), lane_(engine.lane_of(id)) {}
 
 Processor::~Processor() { teardown(); }
 

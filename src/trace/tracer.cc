@@ -14,10 +14,8 @@ Tracer::Tracer(const TraceConfig& cfg, mem::GlobalSpace& space,
     : cfg_(cfg),
       space_(space),
       engine_(engine),
-      bufs_(engine != nullptr ? static_cast<std::size_t>(space.nodes()) : 1),
-      shards_(engine != nullptr ? static_cast<std::size_t>(space.nodes()) : 1),
-      buf_mask_(engine != nullptr ? ~std::size_t{0} : 0),
-      shard_mask_(engine != nullptr ? ~std::size_t{0} : 0),
+      bufs_(static_cast<std::size_t>(space.nodes())),
+      shards_(static_cast<std::size_t>(space.nodes())),
       node_events_(static_cast<std::size_t>(space.nodes()), 0),
       node_dropped_(static_cast<std::size_t>(space.nodes()), 0),
       state_(static_cast<std::size_t>(space.nodes())),
@@ -55,7 +53,7 @@ void Tracer::emit(EventKind k, int node, sim::Time t, std::uint64_t block,
     ++node_dropped_[static_cast<std::size_t>(node)];
     return;
   }
-  NodeBuf& buf = bufs_[static_cast<std::size_t>(node) & buf_mask_];
+  NodeBuf& buf = bufs_[static_cast<std::size_t>(node)];
   Event* e = buf.cur;
   if (e == buf.end) [[unlikely]] e = refill(buf);
   buf.cur = e + 1;

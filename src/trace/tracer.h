@@ -13,10 +13,11 @@
 // store is a plain cursor write, and the canonical sequence number is never
 // assigned at emit time — events buffer unstamped per node and are stamped
 // in bulk at window boundaries (BoundaryOp::kTrace of the engine the tracer
-// is attached to). A tracer with no engine (a bare probe) keeps one buffer
-// for all nodes and stamps it at finalize. Buffers are
-// bounded by TraceConfig::max_events_per_node; overflow drops events but
-// never silently — dropped counts land in the summary and the file meta.
+// is attached to), and once more at finalize. A tracer built with no engine
+// (a host-cost probe that calls hooks directly) has the same per-node
+// buffers and is stamped at finalize alone. Buffers are bounded by
+// TraceConfig::max_events_per_node; overflow drops events but never
+// silently — dropped counts land in the summary and the file meta.
 //
 // Observation is pure (no simulated time charged, no events scheduled), and
 // the tracer chains to whatever observers were attached before it (the
@@ -202,12 +203,10 @@ class Tracer final : public Hooks,
   std::uint8_t& state(int node, mem::BlockId b) {
     return state_[static_cast<std::size_t>(node)].at(b);
   }
-  // Summary shard the node's hooks accumulate into: one per node with an
-  // engine (hooks fire on concurrently draining lanes), a single shared shard
-  // without one; finalize() folds shards into summary_.
-  Summary& sum(int node) {
-    return shards_[static_cast<std::size_t>(node) & shard_mask_];
-  }
+  // Summary shard the node's hooks accumulate into: one per node, since
+  // hooks fire on concurrently draining lanes; finalize() folds the shards
+  // into summary_.
+  Summary& sum(int node) { return shards_[static_cast<std::size_t>(node)]; }
   Summary::PhaseTotals& phase_totals(int node);
   // Assigns canonical sequence numbers to every event not yet stamped, in
   // node order then append order — a total order independent of how lanes
@@ -225,18 +224,13 @@ class Tracer final : public Hooks,
   proto::CoherenceObserver* next_coherence_ = nullptr;
   net::Network::Observer* next_net_ = nullptr;
 
-  // Engine attached: per-node buffers and summary shards (lanes append
-  // concurrently), stamped at window boundaries. Without an engine, one
-  // buffer and one shard for all nodes (mask 0), stamped at finalize.
+  // Per-node buffers and summary shards: lanes append concurrently.
   std::vector<NodeBuf> bufs_;
   std::vector<Summary> shards_;
-  const std::size_t buf_mask_;    // node -> buffer index mask
-  const std::size_t shard_mask_;  // node -> shard index mask
   // Per-kind record filter, precomputed from cfg_.categories: the emit fast
   // path's only filter branch is one indexed load.
   std::array<bool, kNumEventKinds> kind_enabled_{};
-  // Per-node appended/dropped counts (the max_events_per_node cap is per
-  // node regardless of how nodes share buffers).
+  // Per-node appended/dropped counts (the max_events_per_node cap).
   std::vector<std::uint64_t> node_events_;
   std::vector<std::uint64_t> node_dropped_;
   std::uint32_t seq_ = 0;

@@ -107,20 +107,12 @@ TEST(GoldenStats, PredictiveSmallRun) {
       testutil::run_micro_workload(runtime::ProtocolKind::kPredictive), g);
 }
 
-// Compact digest pins across every protocol × coherence block size. These
-// freeze the simulated behavior of the directory, sharer-set, schedule and
-// channel metadata across the layouts the flat rewrite replaces: any layout
-// change that perturbs message counts, wire bytes, event counts, simulated
-// time, fault counts, or final memory/tag contents trips here.
-struct MatrixGolden {
-  runtime::ProtocolKind kind;
-  std::uint32_t block_size;
-  std::uint64_t msgs, bytes, events;
-  sim::Time exec;
-  std::uint64_t faults;  // read + write faults summed over nodes
-  std::uint64_t mem_hash;
-};
-
+// Compact digest pins across every protocol × coherence block size
+// (testutil::kMicroPins, whose trace columns the parallel tier checks).
+// These freeze the simulated behavior of the directory, sharer-set,
+// schedule and channel metadata: any layout change that perturbs message
+// counts, wire bytes, event counts, simulated time, fault counts, or final
+// memory/tag contents trips here.
 const char* kind_id(runtime::ProtocolKind k) {
   switch (k) {
     case runtime::ProtocolKind::kStache: return "kStache";
@@ -134,49 +126,13 @@ const char* kind_id(runtime::ProtocolKind k) {
 }
 
 TEST(GoldenStats, ProtocolBlockSizeMatrix) {
-  using runtime::ProtocolKind;
-  const MatrixGolden table[] = {
-      {ProtocolKind::kStache, 32, 6903ull, 196368ull, 16500ull, 249729320,
-       2277ull, 14559042160599073619ull},
-      {ProtocolKind::kStache, 128, 1850ull, 121376ull, 4481ull, 72437540,
-       611ull, 9683470072194729308ull},
-      {ProtocolKind::kStache, 1024, 435ull, 166704ull, 1123ull, 26442760,
-       141ull, 5269624061003381707ull},
-      {ProtocolKind::kPredictive, 32, 7022ull, 201984ull, 16232ull, 242737780,
-       1896ull, 14559042160599073619ull},
-      {ProtocolKind::kPredictive, 128, 1869ull, 125008ull, 4435ull, 70348940,
-       500ull, 9683470072194729308ull},
-      {ProtocolKind::kPredictive, 1024, 434ull, 174880ull, 1121ull, 24588360,
-       84ull, 5269624061003381707ull},
-      {ProtocolKind::kPredictiveAnticipate, 32, 6962ull, 201024ull, 15766ull,
-       235095120, 1662ull, 14559042160599073619ull},
-      {ProtocolKind::kPredictiveAnticipate, 128, 1854ull, 124768ull, 4320ull,
-       68035140, 443ull, 9683470072194729308ull},
-      {ProtocolKind::kPredictiveAnticipate, 1024, 434ull, 174880ull, 1121ull,
-       24588360, 84ull, 5269624061003381707ull},
-      {ProtocolKind::kWriteUpdate, 32, 6882ull, 230208ull, 14704ull,
-       102548520, 957ull, 2800090443976628580ull},
-      {ProtocolKind::kWriteUpdate, 128, 1788ull, 155328ull, 3892ull, 29901120,
-       255ull, 17181031399765319607ull},
-      {ProtocolKind::kWriteUpdate, 1024, 318ull, 192480ull, 760ull, 11759960,
-       45ull, 15502453886649105430ull},
-      // ccached on a workload with no commutative regions must reproduce the
-      // Stache rows above bit-for-bit (the fallback-path identity).
-      {ProtocolKind::kCCached, 32, 6903ull, 196368ull, 16500ull, 249729320,
-       2277ull, 14559042160599073619ull},
-      {ProtocolKind::kCCached, 128, 1850ull, 121376ull, 4481ull, 72437540,
-       611ull, 9683470072194729308ull},
-      {ProtocolKind::kCCached, 1024, 435ull, 166704ull, 1123ull, 26442760,
-       141ull, 5269624061003381707ull},
-  };
-  for (const auto& g : table) {
+  for (const testutil::MicroPin& g : testutil::kMicroPins) {
     SCOPED_TRACE(std::string(runtime::protocol_kind_name(g.kind)) + " bsz=" +
                  std::to_string(g.block_size));
     const auto r = testutil::run_micro_workload(
         g.kind, /*nodes=*/4, /*rounds=*/6,
         sim::default_backend(), g.block_size);
-    std::uint64_t faults = 0;
-    for (const auto& c : r.counters) faults += c.read_faults + c.write_faults;
+    const std::uint64_t faults = testutil::total_faults(r);
     EXPECT_EQ(r.msgs, g.msgs);
     EXPECT_EQ(r.bytes, g.bytes);
     EXPECT_EQ(r.events, g.events);
@@ -184,8 +140,8 @@ TEST(GoldenStats, ProtocolBlockSizeMatrix) {
     EXPECT_EQ(faults, g.faults);
     EXPECT_EQ(r.mem_hash, g.mem_hash);
     if (::testing::Test::HasFailure()) {
-      std::printf("ACTUAL: {ProtocolKind::%s, %u, %lluull, %lluull, %lluull, "
-                  "%lld, %lluull, %lluull},\n",
+      std::printf("ACTUAL: {runtime::ProtocolKind::%s, %u,\n     %lluull, "
+                  "%lluull, %lluull, %lld, %lluull, 0x%016llxull, ...},\n",
                   kind_id(g.kind), g.block_size,
                   (unsigned long long)r.msgs, (unsigned long long)r.bytes,
                   (unsigned long long)r.events, (long long)r.exec,
@@ -219,8 +175,7 @@ TEST(GoldenStats, CCachedReductionMatrix) {
     SCOPED_TRACE("bsz=" + std::to_string(g.block_size));
     const auto r = testutil::run_cc_micro_workload(
         runtime::ProtocolKind::kCCached, g.block_size);
-    std::uint64_t faults = 0;
-    for (const auto& c : r.counters) faults += c.read_faults + c.write_faults;
+    const std::uint64_t faults = testutil::total_faults(r);
     EXPECT_EQ(r.msgs, g.msgs);
     EXPECT_EQ(r.bytes, g.bytes);
     EXPECT_EQ(r.events, g.events);

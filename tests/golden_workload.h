@@ -1,4 +1,5 @@
-// Shared micro workload for the golden-stats and determinism tests.
+// Shared micro workload for the golden-stats and determinism tests, and the
+// one table of its pins (kMicroPins).
 //
 // A small, fully deterministic producer/consumer mix over pages homed
 // round-robin across the nodes: each round a rotating writer updates a
@@ -85,6 +86,13 @@ inline WorkloadResult collect_result(runtime::System& sys) {
   return res;
 }
 
+// Read + write faults summed over nodes.
+inline std::uint64_t total_faults(const WorkloadResult& r) {
+  std::uint64_t n = 0;
+  for (const auto& c : r.counters) n += c.read_faults + c.write_faults;
+  return n;
+}
+
 inline WorkloadResult run_micro_workload(runtime::ProtocolKind kind,
                                          int nodes = 4, int rounds = 6,
                                          sim::Backend backend =
@@ -156,6 +164,75 @@ inline WorkloadResult run_micro_workload(runtime::ProtocolKind kind,
 
   return collect_result(sys);
 }
+
+// The micro workload's pins (4 nodes, 6 rounds, the derived 30 us window)
+// for every protocol at three block sizes. golden_stats_test.cc checks the
+// stats columns on the untraced run; parallel_equivalence_test.cc checks
+// every column on the traced run, whose simulated results tracing must not
+// move. Any drift means simulated behavior changed.
+struct MicroPin {
+  runtime::ProtocolKind kind;
+  std::uint32_t block_size;
+  std::uint64_t msgs, bytes, events;
+  sim::Time exec;
+  std::uint64_t faults;  // total_faults
+  std::uint64_t mem_hash;
+  std::uint64_t trace_events, trace_hash;
+};
+
+// clang-format off
+inline constexpr MicroPin kMicroPins[] = {
+    // PINS_BEGIN (regenerate: tools snippet in docs/performance.md §9)
+    {runtime::ProtocolKind::kStache, 32,
+     6903ull, 196368ull, 16500ull, 249729320, 2277ull, 0xca0c1bb53c718353ull,
+     32886ull, 0xd93535fc91dc9e95ull},
+    {runtime::ProtocolKind::kStache, 128,
+     1850ull, 121376ull, 4481ull, 72437540, 611ull, 0x866298b9b64b055cull,
+     9095ull, 0x05c13bd0bdb5cf92ull},
+    {runtime::ProtocolKind::kStache, 1024,
+     435ull, 166704ull, 1123ull, 26442760, 141ull, 0x49217729eff53bcbull,
+     2409ull, 0xc192915d833bf0abull},
+    {runtime::ProtocolKind::kPredictive, 32,
+     7022ull, 201984ull, 16232ull, 242737780, 1896ull, 0xca0c1bb53c718353ull,
+     32789ull, 0x8e0cb79dd9aa7670ull},
+    {runtime::ProtocolKind::kPredictive, 128,
+     1869ull, 125008ull, 4435ull, 70348940, 500ull, 0x866298b9b64b055cull,
+     9198ull, 0x5a97c45ccc929e8aull},
+    {runtime::ProtocolKind::kPredictive, 1024,
+     434ull, 174880ull, 1121ull, 24588360, 84ull, 0x49217729eff53bcbull,
+     2548ull, 0x372b21fe5929608full},
+    {runtime::ProtocolKind::kPredictiveAnticipate, 32,
+     6962ull, 201024ull, 15766ull, 235095120, 1662ull, 0xca0c1bb53c718353ull,
+     32021ull, 0x0f073de6e8eee894ull},
+    {runtime::ProtocolKind::kPredictiveAnticipate, 128,
+     1854ull, 124768ull, 4320ull, 68035140, 443ull, 0x866298b9b64b055cull,
+     9009ull, 0x70745259a23f1335ull},
+    {runtime::ProtocolKind::kPredictiveAnticipate, 1024,
+     434ull, 174880ull, 1121ull, 24588360, 84ull, 0x49217729eff53bcbull,
+     2548ull, 0x372b21fe5929608full},
+    {runtime::ProtocolKind::kWriteUpdate, 32,
+     6882ull, 230208ull, 14704ull, 102548520, 957ull, 0x26dbeb6c5c315964ull,
+     28215ull, 0x31d98da18533067eull},
+    {runtime::ProtocolKind::kWriteUpdate, 128,
+     1788ull, 155328ull, 3892ull, 29901120, 255ull, 0xee6f490771d81fb7ull,
+     7674ull, 0xd8df5dd313515d00ull},
+    {runtime::ProtocolKind::kWriteUpdate, 1024,
+     318ull, 192480ull, 760ull, 11759960, 45ull, 0xd723c7aca497fc16ull,
+     1689ull, 0x0d1d0557112e81f3ull},
+    // ccached with no commutative regions must reproduce the Stache rows
+    // bit-for-bit (the fallback-path identity).
+    {runtime::ProtocolKind::kCCached, 32,
+     6903ull, 196368ull, 16500ull, 249729320, 2277ull, 0xca0c1bb53c718353ull,
+     32886ull, 0xd93535fc91dc9e95ull},
+    {runtime::ProtocolKind::kCCached, 128,
+     1850ull, 121376ull, 4481ull, 72437540, 611ull, 0x866298b9b64b055cull,
+     9095ull, 0x05c13bd0bdb5cf92ull},
+    {runtime::ProtocolKind::kCCached, 1024,
+     435ull, 166704ull, 1123ull, 26442760, 141ull, 0x49217729eff53bcbull,
+     2409ull, 0xc192915d833bf0abull},
+    // PINS_END
+};
+// clang-format on
 
 // Commutative-update micro workload for the ccached golden pins: one page
 // per node (homed round-robin), the whole region reduction-tagged. Each

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -9,8 +10,9 @@
 namespace presto::net {
 namespace {
 
-// Records every delivered message: destination, arrival time, the window
-// it ran in (windowed engines) and the record bytes.
+// Records every delivered message: destination, dispatch time, the window
+// it ran in (windowed engines) and the record bytes. It keeps the default
+// on_arrival, so each record is dispatched at its arrival.
 struct RecordingSink final : Network::MsgSink {
   struct Delivery {
     int dst;
@@ -124,8 +126,108 @@ TEST(Network, RejectsBadEndpoints) {
   EXPECT_DEATH(send(net, 0, 5, 1, 0), "bad endpoints");
 }
 
-// ---- Windowed engine: cross-node sends made inside a lane are staged in the
-// source's outbox and reach their channel ring at the window boundary.
+// ---- One channel table: channels open on a pair's first send, at every
+// machine width.
+
+TEST(NetworkChannels, FreshNetworkHoldsNoChannel) {
+  sim::Engine e;
+  Network net32(e, 32, NetConfig{});
+  Network net64(e, 64, NetConfig{});
+  const std::size_t channel_bytes = Network::dense_equiv_bytes(1);
+  // Less than one channel per source, and linear in the width: only the
+  // per-source headers exist before the first send.
+  EXPECT_LT(net32.metadata_bytes(), 32 * channel_bytes);
+  EXPECT_EQ(net64.metadata_bytes(), 2 * net32.metadata_bytes());
+}
+
+TEST(NetworkChannels, FirstSendOpensOneChannelChunk) {
+  sim::Engine e;
+  Network net(e, 32, NetConfig{});
+  RecordingSink sink(e);
+  net.set_msg_sink(&sink);
+  const std::size_t chunk_bytes =
+      Network::kChannelChunk * Network::dense_equiv_bytes(1);
+  const std::size_t fresh = net.metadata_bytes();
+  send(net, 0, 1, 8, 0, "a");
+  const std::size_t first = net.metadata_bytes() - fresh;
+  // One chunk of channels, plus source 0's dst index and the ring's chunk.
+  EXPECT_GE(first, chunk_bytes);
+  EXPECT_LT(first, 2 * chunk_bytes) << "one send opened several chunks";
+  // A second destination of the same source takes a slot in that chunk.
+  send(net, 0, 2, 8, 0, "b");
+  EXPECT_LT(net.metadata_bytes() - fresh - first, chunk_bytes);
+  e.run();
+  EXPECT_EQ(sink.bodies(), (std::vector<std::string>{"a", "b"}));
+}
+
+// ---- One delivery path: a sink that keeps the default on_arrival has every
+// record dispatched at its arrival, from the destination's inbox like a
+// held record.
+
+TEST(NetworkDefaultSink, DispatchesAtArrivalThroughTheInbox) {
+  sim::Engine e;
+  NetConfig cfg;
+  cfg.wire_latency = 100;
+  cfg.per_byte = 10;
+  Network net(e, 3, cfg);
+  RecordingSink sink(e);
+  net.set_msg_sink(&sink);
+  const sim::Time a = send(net, 0, 2, 4, 0, "a");  // arrives 140
+  const sim::Time b = send(net, 1, 2, 1, 0, "b");  // arrives 110
+  const sim::Time c = send(net, 0, 2, 4, 0, "c");  // arrives 141 (FIFO clamp)
+  // Scheduled for b's arrival instant after b's delivery key was reserved:
+  // the dispatch, keyed at arrival, runs after it. (Handing the record
+  // over inside the delivery event would run it first.)
+  e.schedule_at(b, [&] { sink.got.push_back({-1, e.now(), 0, "X"}); });
+  e.run();
+  ASSERT_EQ(sink.bodies(), (std::vector<std::string>{"X", "b", "a", "c"}));
+  EXPECT_EQ(sink.got[0].at, b);
+  const sim::Time at[] = {b, a, c};
+  for (std::size_t i = 1; i < sink.got.size(); ++i) {
+    SCOPED_TRACE(sink.got[i].bytes);
+    EXPECT_EQ(sink.got[i].dst, 2);
+    EXPECT_EQ(sink.got[i].at, at[i - 1]);
+  }
+  EXPECT_EQ(a, 140);
+  EXPECT_EQ(c, 141);
+  // A delivery and a dispatch per record, plus the mark.
+  EXPECT_EQ(e.events_executed(), 2u * 3u + 1u);
+}
+
+TEST(NetworkDefaultSink, WindowedDispatchRunsInTheArrivalWindow) {
+  sim::Engine e(sim::Backend::kFiber);
+  e.enable_windows(/*window=*/100, /*lanes=*/3, /*workers=*/1);
+  NetConfig cfg;
+  cfg.wire_latency = 100;
+  cfg.per_byte = 10;
+  Network net(e, 3, cfg);
+  RecordingSink sink(e);
+  net.set_msg_sink(&sink);
+  sim::Time arrival[3] = {};  // a, b, c
+  e.schedule_on(0, 0, [&] { arrival[0] = send(net, 0, 2, 4, e.now(), "a"); });
+  e.schedule_on(1, 20, [&] { arrival[1] = send(net, 1, 2, 1, e.now(), "b"); });
+  e.schedule_on(0, 250, [&] { arrival[2] = send(net, 0, 2, 4, e.now(), "c"); });
+  // The window each arrival instant falls in, read on the destination lane.
+  std::map<sim::Time, std::uint64_t> window_at;
+  for (const sim::Time t : {140, 130, 390})
+    e.schedule_on(2, t, [&window_at, &e, t] { window_at[t] = e.windows_run(); });
+  e.run();
+  EXPECT_EQ(arrival[0], 140);
+  EXPECT_EQ(arrival[1], 130);
+  EXPECT_EQ(arrival[2], 390);
+  ASSERT_EQ(sink.bodies(), (std::vector<std::string>{"b", "a", "c"}));
+  const sim::Time at[] = {arrival[1], arrival[0], arrival[2]};
+  for (std::size_t i = 0; i < sink.got.size(); ++i) {
+    SCOPED_TRACE(sink.got[i].bytes);
+    EXPECT_EQ(sink.got[i].dst, 2);
+    EXPECT_EQ(sink.got[i].at, at[i]);
+    EXPECT_EQ(sink.got[i].window, window_at.at(at[i]));
+  }
+  EXPECT_LT(sink.got[1].window, sink.got[2].window);
+}
+
+// ---- Windowed engine: cross-node sends made inside a lane are staged in
+// their channel's ring, unpublished, and published at the window boundary.
 
 TEST(NetworkWindowed, StagedRecordsKeepFifoAndBytesAcrossWindows) {
   sim::Engine e(sim::Backend::kFiber);

@@ -1,11 +1,12 @@
 // Parallel-equivalence tier: the windowed engine's central guarantee is that
 // the conservative-window canon is a function of (workload, machine, window)
 // only — never of the backend driving it or how lanes are partitioned over
-// workers. These tests prove it bit-identically, three ways:
+// workers. These tests prove it bit-identically, four ways:
 //
-//   * golden matrix — fiber-windowed results (messages, exec, memory image,
-//     trace digest) pinned for all four protocols at three block sizes, so
-//     the windowed canon itself cannot drift silently;
+//   * golden matrix — fiber-windowed results (testutil::kMicroPins:
+//     messages, events, exec, faults, memory image, trace digest) pinned for
+//     every protocol at three block sizes, so the windowed canon itself
+//     cannot drift silently;
 //   * worker sweep — Backend::kParallel at workers {1, 2, 4, 7, hw} must
 //     reproduce the serial fiber-windowed run exactly: every per-node
 //     counter, message totals, exec time, final memory hash, and the full
@@ -15,12 +16,16 @@
 //   * backend equivalence — a full Barnes run lands on the same canon on
 //     kFiber and kParallel.
 //
-// Plus the negative control: a planted conservative-PDES bug (a mailbox
+// Plus the negative control: a planted conservative-PDES bug (a staged-record
 // flush held past its window boundary, check/bughook.h) must make the
 // differential fail — proving this tier can actually catch the class of bug
 // it exists for.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <random>
 #include <string>
 #include <thread>
@@ -108,84 +113,53 @@ std::string protocol_suffix(ProtocolKind k) {
 }
 
 // ---- Golden matrix ----------------------------------------------------------
-// The windowed canon, frozen: messages, bytes, exec time, memory image and
-// trace digest of every protocol at three block sizes (golden_stats_test.cc
-// pins the same runs' event and fault counts); any drift here means
+// The windowed canon, frozen: every column of testutil::kMicroPins —
+// messages, bytes, events, exec time, faults, memory image and trace digest
+// of every protocol at three block sizes — on the traced serial run
+// (golden_stats_test.cc checks the same rows untraced); any drift here means
 // simulated behavior changed.
 
+// ctest names each case by its parameter's printed bytes, so the parameter
+// keeps the 56-byte layout these cases have always been named by: a
+// kMicroPins row without its events and faults columns. The test looks the
+// full row up and checks every column.
 struct WindowedPin {
   ProtocolKind kind;
   std::uint32_t block_size;
-  std::uint64_t msgs;
-  std::uint64_t bytes;
+  std::uint64_t msgs, bytes;
   sim::Time exec;
-  std::uint64_t mem_hash;
-  std::uint64_t trace_events;
-  std::uint64_t trace_hash;
+  std::uint64_t mem_hash, trace_events, trace_hash;
 };
+static_assert(sizeof(WindowedPin) == 56, "padding would leak into the names");
 
-// clang-format off
-constexpr WindowedPin kWindowedPins[] = {
-    // PINS_BEGIN (regenerate: tools snippet in docs/performance.md §9)
-    {ProtocolKind::kStache, 32,
-     6903ull, 196368ull, 249729320ull, 0xca0c1bb53c718353ull,
-     32886ull, 0xd93535fc91dc9e95ull},
-    {ProtocolKind::kStache, 128,
-     1850ull, 121376ull, 72437540ull, 0x866298b9b64b055cull,
-     9095ull, 0x05c13bd0bdb5cf92ull},
-    {ProtocolKind::kStache, 1024,
-     435ull, 166704ull, 26442760ull, 0x49217729eff53bcbull,
-     2409ull, 0xc192915d833bf0abull},
-    {ProtocolKind::kPredictive, 32,
-     7022ull, 201984ull, 242737780ull, 0xca0c1bb53c718353ull,
-     32789ull, 0x8e0cb79dd9aa7670ull},
-    {ProtocolKind::kPredictive, 128,
-     1869ull, 125008ull, 70348940ull, 0x866298b9b64b055cull,
-     9198ull, 0x5a97c45ccc929e8aull},
-    {ProtocolKind::kPredictive, 1024,
-     434ull, 174880ull, 24588360ull, 0x49217729eff53bcbull,
-     2548ull, 0x372b21fe5929608full},
-    {ProtocolKind::kPredictiveAnticipate, 32,
-     6962ull, 201024ull, 235095120ull, 0xca0c1bb53c718353ull,
-     32021ull, 0x0f073de6e8eee894ull},
-    {ProtocolKind::kPredictiveAnticipate, 128,
-     1854ull, 124768ull, 68035140ull, 0x866298b9b64b055cull,
-     9009ull, 0x70745259a23f1335ull},
-    {ProtocolKind::kPredictiveAnticipate, 1024,
-     434ull, 174880ull, 24588360ull, 0x49217729eff53bcbull,
-     2548ull, 0x372b21fe5929608full},
-    {ProtocolKind::kWriteUpdate, 32,
-     6882ull, 230208ull, 102548520ull, 0x26dbeb6c5c315964ull,
-     28215ull, 0x31d98da18533067eull},
-    {ProtocolKind::kWriteUpdate, 128,
-     1788ull, 155328ull, 29901120ull, 0xee6f490771d81fb7ull,
-     7674ull, 0xd8df5dd313515d00ull},
-    {ProtocolKind::kWriteUpdate, 1024,
-     318ull, 192480ull, 11759960ull, 0xd723c7aca497fc16ull,
-     1689ull, 0x0d1d0557112e81f3ull},
-    // ccached with no commutative regions: must equal the Stache rows above
-    // exactly (the fallback-path identity golden_stats_test.cc also pins).
-    {ProtocolKind::kCCached, 32,
-     6903ull, 196368ull, 249729320ull, 0xca0c1bb53c718353ull,
-     32886ull, 0xd93535fc91dc9e95ull},
-    {ProtocolKind::kCCached, 128,
-     1850ull, 121376ull, 72437540ull, 0x866298b9b64b055cull,
-     9095ull, 0x05c13bd0bdb5cf92ull},
-    {ProtocolKind::kCCached, 1024,
-     435ull, 166704ull, 26442760ull, 0x49217729eff53bcbull,
-     2409ull, 0xc192915d833bf0abull},
-    // PINS_END
-};
-// clang-format on
+constexpr auto kWindowedPins = [] {
+  std::array<WindowedPin, std::size(testutil::kMicroPins)> pins{};
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    const testutil::MicroPin& p = testutil::kMicroPins[i];
+    pins[i] = {p.kind, p.block_size, p.msgs,         p.bytes,
+               p.exec, p.mem_hash,   p.trace_events, p.trace_hash};
+  }
+  return pins;
+}();
+
+const testutil::MicroPin& micro_pin(const WindowedPin& w) {
+  for (const testutil::MicroPin& p : testutil::kMicroPins) {
+    if (p.kind == w.kind && p.block_size == w.block_size) return p;
+  }
+  ADD_FAILURE() << "no kMicroPins row for this case";
+  return testutil::kMicroPins[0];
+}
 
 class WindowedGoldenMatrix : public ::testing::TestWithParam<WindowedPin> {};
 
 TEST_P(WindowedGoldenMatrix, FiberWindowedPinned) {
-  const WindowedPin& pin = GetParam();
+  const testutil::MicroPin& pin = micro_pin(GetParam());
   const WorkloadResult r = run_serial_windowed(pin.kind, pin.block_size);
   EXPECT_EQ(r.msgs, pin.msgs);
   EXPECT_EQ(r.bytes, pin.bytes);
+  EXPECT_EQ(r.events, pin.events);
   EXPECT_EQ(r.exec, pin.exec);
+  EXPECT_EQ(testutil::total_faults(r), pin.faults);
   EXPECT_EQ(r.mem_hash, pin.mem_hash);
   ASSERT_TRUE(r.traced);
   EXPECT_EQ(r.trace_digest.events, pin.trace_events);
@@ -333,7 +307,7 @@ TEST(ParallelSoak, RandomWorkerCountsStayByteIdentical) {
 }
 
 // ---- Planted bug: the differential must catch it ----------------------------
-// Holding one source's staged mailbox past its window boundary is exactly
+// Holding one source's staged records past their window boundary is exactly
 // the bug class the conservative protocol exists to exclude. With the hook
 // set, deliveries slip a window, so the run must diverge from the serial
 // canon — if this test ever sees equal digests, the equivalence tier has
@@ -355,7 +329,7 @@ TEST(ParallelPlantedBug, DelayedWindowFlushIsCaught) {
     bad = run_parallel(ProtocolKind::kStache, 32, /*workers=*/2);
   }
   // The run completes (the engine's final boundary pass guarantees held
-  // mailboxes still drain) but its canon differs.
+  // records still drain) but its canon differs.
   EXPECT_NE(good.trace_digest, bad.trace_digest);
   EXPECT_NE(good.exec, bad.exec);
   // And with the hook cleared the same configuration matches again, so the
