@@ -8,6 +8,7 @@
 #include "apps/adaptive/adaptive.h"
 #include "bench/bench_common.h"
 #include "runtime/machine.h"
+#include "util/pool.h"
 
 using namespace presto;
 
@@ -20,6 +21,8 @@ int main(int argc, char** argv) {
       cli.get_int("mesh", static_cast<std::int64_t>(params.n)));
   params.iters =
       static_cast<int>(cli.get_int("iters", params.iters) / scale.divide);
+  const int jobs =
+      static_cast<int>(cli.get_int("jobs", util::default_pool_jobs()));
   const auto trace_cfg = bench::trace_from_cli(cli);
   const bool check = cli.get_bool("check");
   cli.reject_unknown();
@@ -38,23 +41,30 @@ int main(int argc, char** argv) {
       {"C** opt", 256, true},
   };
 
-  std::vector<apps::AppResult> results;
+  // Every version is an independent System instance: run them on the host
+  // pool. Results come back in index order, so the output is identical at
+  // any --jobs. Trace files are numbered in run order
+  // (docs/observability.md), so a traced run takes the versions in order.
+  const std::vector<apps::AppResult> results = util::parallel_map(
+      static_cast<int>(versions.size()), trace_cfg.enabled ? 1 : jobs,
+      [&](int i) {
+        const Version& v = versions[static_cast<std::size_t>(i)];
+        auto machine =
+            runtime::MachineConfig::cm5_blizzard(scale.nodes, v.block);
+        machine.trace = trace_cfg;
+        scale.apply(machine);
+        auto r = apps::run_adaptive(params, machine,
+                                    v.optimized
+                                        ? runtime::ProtocolKind::kPredictive
+                                        : runtime::ProtocolKind::kStache,
+                                    v.optimized);
+        r.report.label = apps::version_label(v.label, v.block);
+        return r;
+      });
   std::vector<stats::Report> reports;
-  for (const auto& v : versions) {
-    auto machine =
-        runtime::MachineConfig::cm5_blizzard(scale.nodes, v.block);
-    machine.trace = trace_cfg;
-    scale.apply(machine);
-    auto r = apps::run_adaptive(params, machine,
-                                v.optimized
-                                    ? runtime::ProtocolKind::kPredictive
-                                    : runtime::ProtocolKind::kStache,
-                                v.optimized);
-    r.report.label = apps::version_label(v.label, v.block);
+  for (const auto& r : results) {
     std::printf("%-16s checksum=%.6f\n", r.report.label.c_str(), r.checksum);
-    std::fflush(stdout);
     reports.push_back(r.report);
-    results.push_back(std::move(r));
   }
   bench::check_equal_checksums(results, 0.0);
 

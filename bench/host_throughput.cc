@@ -92,7 +92,7 @@ StreamResult run_stream(int nodes, int blocks, int rounds, bool ring,
   res.wall_s = seconds_since(t0);
   res.events = sys.engine().events_executed();
   res.events_per_sec = static_cast<double>(res.events) / res.wall_s;
-  res.msgs = sys.network().messages_sent();
+  res.msgs = sys.recorder().sum(&stats::NodeCounters::msgs_sent);
   res.host = sys.recorder().host();
   return res;
 }

@@ -178,8 +178,8 @@ SweepPoint run_point(int nodes, std::uint32_t block, const char* pattern,
   p.cluster_nodes = cluster_nodes;
   p.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
   p.exec_time = static_cast<std::uint64_t>(sys.exec_time());
-  p.msgs = sys.network().messages_sent();
-  p.bytes = sys.network().bytes_sent();
+  p.msgs = sys.recorder().sum(&stats::NodeCounters::msgs_sent);
+  p.bytes = sys.recorder().sum(&stats::NodeCounters::bytes_sent);
   p.read_faults = sys.recorder().sum(&stats::NodeCounters::read_faults);
   p.write_faults = sys.recorder().sum(&stats::NodeCounters::write_faults);
   if (const auto* cc = sys.ccached(); cc != nullptr)

@@ -7,6 +7,7 @@
 #include "check/oracle.h"
 #include "runtime/lock.h"
 #include "runtime/system.h"
+#include "trace/file.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -39,16 +40,11 @@ std::int64_t cc_delta(std::uint64_t salt, int r, int p, int b, int lid) {
   return static_cast<std::int64_t>((h >> 8) % 2001) - 1000;
 }
 
+// Fuzz signatures hash with the one FNV-1a (trace/file.h) from the standard
+// offset basis; trace::kFnvBasis is a different seed, fixed by the trace
+// format.
 constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+using trace::fnv1a64;
 
 std::string hex64(std::uint64_t v) {
   char buf[17];
@@ -364,8 +360,8 @@ RunResult run_program(const FuzzProgram& prog, runtime::ProtocolKind kind,
     out.first_violation = os.str();
   }
   out.exec_time = static_cast<std::uint64_t>(sys.exec_time());
-  out.messages = sys.network().messages_sent();
-  out.bytes = sys.network().bytes_sent();
+  out.messages = sys.recorder().sum(&stats::NodeCounters::msgs_sent);
+  out.bytes = sys.recorder().sum(&stats::NodeCounters::bytes_sent);
   if (capture != nullptr) {
     capture->digest = sys.tracer()->digest();
     capture->summary = sys.tracer()->summary();
@@ -432,16 +428,16 @@ FuzzVerdict check_program(const FuzzProgram& prog, bool latency_sweep,
       const std::string label = klabel + nlabel;
       const RunResult r = run_program(prog, kind, netcfg);
 
-      digest = fnv1a(digest, label.data(), label.size());
-      digest = fnv1a(digest, r.memory.data(),
-                     r.memory.size() * sizeof(std::uint32_t));
-      digest = fnv1a(digest, r.cc_memory.data(),
-                     r.cc_memory.size() * sizeof(std::int64_t));
-      digest = fnv1a(digest, &r.lock_total, sizeof r.lock_total);
-      digest = fnv1a(digest, &r.reduce_digest, sizeof r.reduce_digest);
-      digest = fnv1a(digest, &r.read_mismatches, sizeof r.read_mismatches);
-      digest =
-          fnv1a(digest, &r.oracle_violations, sizeof r.oracle_violations);
+      digest = fnv1a64(digest, label.data(), label.size());
+      digest = fnv1a64(digest, r.memory.data(),
+                       r.memory.size() * sizeof(std::uint32_t));
+      digest = fnv1a64(digest, r.cc_memory.data(),
+                       r.cc_memory.size() * sizeof(std::int64_t));
+      digest = fnv1a64(digest, &r.lock_total, sizeof r.lock_total);
+      digest = fnv1a64(digest, &r.reduce_digest, sizeof r.reduce_digest);
+      digest = fnv1a64(digest, &r.read_mismatches, sizeof r.read_mismatches);
+      digest = fnv1a64(digest, &r.oracle_violations,
+                       sizeof r.oracle_violations);
 
       // Oracle verdict first: it fires at the faulty protocol event itself
       // (e.g. the write that breaks single-writer), upstream of the stale
@@ -511,12 +507,12 @@ FuzzVerdict check_program(const FuzzProgram& prog, bool latency_sweep,
                                         sim::Backend::kParallel,
                                         parallel_workers);
 
-      digest = fnv1a(digest, label.data(), label.size());
-      digest = fnv1a(digest, &par.exec_time, sizeof par.exec_time);
-      digest = fnv1a(digest, &par.messages, sizeof par.messages);
-      digest = fnv1a(digest, &par.bytes, sizeof par.bytes);
-      digest = fnv1a(digest, par.memory.data(),
-                     par.memory.size() * sizeof(std::uint32_t));
+      digest = fnv1a64(digest, label.data(), label.size());
+      digest = fnv1a64(digest, &par.exec_time, sizeof par.exec_time);
+      digest = fnv1a64(digest, &par.messages, sizeof par.messages);
+      digest = fnv1a64(digest, &par.bytes, sizeof par.bytes);
+      digest = fnv1a64(digest, par.memory.data(),
+                       par.memory.size() * sizeof(std::uint32_t));
 
       if (par.oracle_violations != 0 || serial.oracle_violations != 0) {
         fail("violation[" + label + "]",

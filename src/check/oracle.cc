@@ -209,7 +209,7 @@ void Oracle::check_read(int node, mem::BlockId b, std::size_t off,
   push_ring(Ev::kRead, node, -1, static_cast<std::uint8_t>(n), b);
 }
 
-void Oracle::on_data_send(int src, int dst, const proto::Msg& m) {
+void Oracle::on_send(int src, int dst, const proto::Msg& m) {
   if (LaneBuf* lb = defer_target()) {
     DefRec r;
     r.kind = Ev::kSend;
@@ -231,7 +231,7 @@ void Oracle::on_data_send(int src, int dst, const proto::Msg& m) {
 void Oracle::check_send(int src, int dst, const proto::Msg& m) {
   const std::size_t bsz = space_.block_size();
   push_ring(Ev::kSend, src, dst, static_cast<std::uint8_t>(m.type), m.block);
-  if (m.data == nullptr) return;  // fault-injected drop; installs will catch
+  if (m.data == nullptr) return;  // no payload to check
   if (m.type == proto::MsgType::CcFlush) {
     // Payload is (word, delta) log entries, not block bytes; the merged
     // result is audited against the committed shadow by final_sweep.
@@ -318,25 +318,6 @@ void Oracle::check_install(int node, mem::BlockId b, const std::byte* data,
   ++installs_checked_;
 }
 
-void Oracle::on_message(int src, int dst, std::size_t bytes, sim::Time depart,
-                        sim::Time arrival) {
-  (void)depart;
-  (void)arrival;
-  if (LaneBuf* lb = defer_target()) {
-    // Scalars only; replay pushes the ring entry so triage dumps stay in
-    // canonical order alongside the replayed checks.
-    DefRec r;
-    r.kind = Ev::kNet;
-    r.t = engine_.now();
-    r.a = static_cast<std::int16_t>(src);
-    r.b = static_cast<std::int16_t>(dst);
-    r.block = static_cast<mem::BlockId>(bytes);
-    lb->recs.push_back(r);
-    return;
-  }
-  push_ring(Ev::kNet, src, dst, 0, static_cast<mem::BlockId>(bytes));
-}
-
 void Oracle::replay_window() {
   struct Key {
     sim::Time t;
@@ -376,9 +357,6 @@ void Oracle::replay_window() {
       }
       case Ev::kInstall:
         check_install(r.a, r.block, d, static_cast<mem::Tag>(r.b));
-        break;
-      case Ev::kNet:
-        push_ring(Ev::kNet, r.a, r.b, 0, r.block);
         break;
       case Ev::kCcUpdate: {
         std::int64_t delta;
@@ -445,9 +423,6 @@ std::string Oracle::ring_dump(std::size_t max_events) const {
         os << "send " << proto::msg_type_name(
                              static_cast<proto::MsgType>(e.info))
            << ' ' << e.a << "->" << e.b << " block=" << e.block;
-        break;
-      case Ev::kNet:
-        os << "net  " << e.a << "->" << e.b << " bytes=" << e.block;
         break;
       case Ev::kCcUpdate:
         os << "cc-update node=" << e.a << " block=" << e.block;

@@ -57,7 +57,6 @@
 #include <vector>
 
 #include "mem/global_space.h"
-#include "net/network.h"
 #include "proto/protocol.h"
 #include "sim/engine.h"
 
@@ -82,8 +81,7 @@ struct Violation {
 };
 
 class Oracle final : public mem::AccessObserver,
-                     public proto::CoherenceObserver,
-                     public net::Network::Observer {
+                     public proto::CoherenceObserver {
  public:
   Oracle(mem::GlobalSpace& space, const sim::Engine& engine, Mode mode,
          FailMode fail);
@@ -109,13 +107,11 @@ class Oracle final : public mem::AccessObserver,
                     std::int64_t delta) override;
 
   // ---- proto::CoherenceObserver ---------------------------------------------
-  void on_data_send(int src, int dst, const proto::Msg& m) override;
+  // Every message enters the event ring; a data-carrying one also has its
+  // payload checked (sends_checked counts the blocks checked).
+  void on_send(int src, int dst, const proto::Msg& m) override;
   void on_install(int node, mem::BlockId b, const std::byte* data,
                   mem::Tag tag) override;
-
-  // ---- net::Network::Observer -----------------------------------------------
-  void on_message(int src, int dst, std::size_t bytes, sim::Time depart,
-                  sim::Time arrival) override;
 
   // ---- Quiescent checks ------------------------------------------------------
   // Whole-memory agreement sweep: every materialized, non-Invalid copy at
@@ -147,7 +143,7 @@ class Oracle final : public mem::AccessObserver,
 
  private:
   enum class Ev : std::uint8_t {
-    kRead, kWrite, kInstall, kSend, kNet, kCcUpdate
+    kRead, kWrite, kInstall, kSend, kCcUpdate
   };
   struct RingEvent {
     sim::Time t = 0;

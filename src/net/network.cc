@@ -10,8 +10,6 @@ Network::Network(sim::Engine& engine, int nodes, const NetConfig& cfg)
       nodes_(nodes),
       cfg_(cfg),
       sources_(static_cast<std::size_t>(nodes)),
-      per_node_msgs_(static_cast<std::size_t>(nodes), 0),
-      per_node_bytes_(static_cast<std::size_t>(nodes), 0),
       inboxes_(static_cast<std::size_t>(nodes)),
       pools_(engine.workers() > 1 ? static_cast<std::size_t>(nodes) : 1),
       pool_mask_(engine.workers() > 1 ? ~std::size_t{0} : 0) {
@@ -37,18 +35,6 @@ Network::~Network() {
   // Chunks still held (a run torn down early, or a ring's last chunk) go back
   // to a pool, which frees them.
   for_each_channel([this](Channel& ch) { ch.ring.clear(pool(0)); });
-}
-
-std::uint64_t Network::messages_sent() const {
-  std::uint64_t n = 0;
-  for (const std::uint64_t m : per_node_msgs_) n += m;
-  return n;
-}
-
-std::uint64_t Network::bytes_sent() const {
-  std::uint64_t n = 0;
-  for (const std::uint64_t b : per_node_bytes_) n += b;
-  return n;
 }
 
 Network::Channel& Network::open_channel(int src, int dst) {
@@ -106,11 +92,6 @@ sim::Time Network::route(Channel& ch, int src, int dst, std::size_t bytes,
   sim::Time arrival = depart + latency;
   if (arrival <= ch.last_arrival) arrival = ch.last_arrival + 1;
   ch.last_arrival = arrival;
-
-  ++per_node_msgs_[static_cast<std::size_t>(src)];
-  per_node_bytes_[static_cast<std::size_t>(src)] += bytes;
-  if (observer_ != nullptr) [[unlikely]]
-    observer_->on_message(src, dst, bytes, depart, arrival);
   return arrival;
 }
 

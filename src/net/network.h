@@ -42,24 +42,27 @@
 // Windowed engines (sim/engine.h): a cross-node send issued inside a lane
 // drain may not touch the destination lane's state, so its record is
 // appended to the channel's ring unpublished (net/record_ring.h), and the
-// channel joins its source's staging list — routing (the FIFO clamp, traffic
-// counters, the observer call) still happens at send time, on state the
-// source lane owns. The boundary flush (BoundaryOp::kNet) walks sources
-// 0..N-1, reserves each unpublished record's delivery key on its destination
-// lane in send order — exactly the keys a direct send would have taken —
-// and publishes it where it lies: no byte is copied. During a drain the
-// destination lane touches only the published part of the ring, the
-// delivery cursor and its own inbox; the source lane touches only the FIFO
-// clamp and the ring's tail. A channel whose ring drains joins its
-// destination's drained list, and the boundary hands an idle ring's last
-// chunk back to a pool, so an idle channel holds no chunk. Chunks are drawn
-// from and returned to the pool of the lane that touches them — one pool per
-// lane under a worker pool (trimmed at each boundary), one shared pool when
-// lanes drain on one thread. Staging is per source, not per worker, so the
-// flush order — and with it every event key and every simulated result —
-// does not depend on how lanes were partitioned over workers. Self-sends
-// and sends from outside any lane (setup, boundary context) are published
-// at once.
+// channel joins its source's staging list — routing (the FIFO clamp) still
+// happens at send time, on state the source lane owns. The boundary flush
+// (BoundaryOp::kNet) walks sources 0..N-1, reserves each unpublished
+// record's delivery key on its destination lane in send order — exactly the
+// keys a direct send would have taken — and publishes it where it lies: no
+// byte is copied. During a drain the destination lane touches only the
+// published part of the ring, the delivery cursor and its own inbox; the
+// source lane touches only the FIFO clamp and the ring's tail. A channel
+// whose ring drains joins its destination's drained list, and the boundary
+// hands an idle ring's last chunk back to a pool, so an idle channel holds
+// no chunk. Chunks are drawn from and returned to the pool of the lane that
+// touches them — one pool per lane under a worker pool (trimmed at each
+// boundary), one shared pool when lanes drain on one thread. Staging is per
+// source, not per worker, so the flush order — and with it every event key
+// and every simulated result — does not depend on how lanes were
+// partitioned over workers. Self-sends and sends from outside any lane
+// (setup, boundary context) are published at once.
+//
+// The network counts and observes nothing: proto::Protocol::post, its only
+// caller, counts each message once (the sender's msgs_sent/bytes_sent) and
+// shows it to the oracle and the tracer.
 #pragma once
 
 #include <cstddef>
@@ -104,18 +107,6 @@ class Network {
     ~MsgSink() = default;
   };
 
-  // Observer of every routed message, used by the coherence oracle's event
-  // ring for failure-trace triage. Pure observation: never charges time or
-  // perturbs FIFO clamping.
-  class Observer {
-   public:
-    virtual void on_message(int src, int dst, std::size_t bytes,
-                            sim::Time depart, sim::Time arrival) = 0;
-
-   protected:
-    ~Observer() = default;
-  };
-
   // Channels a source opens at once: its arena grows by chunks this size.
   static constexpr std::uint32_t kChannelChunk = 8;
 
@@ -126,8 +117,6 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   void set_msg_sink(MsgSink* sink) { sink_ = sink; }
-  void set_observer(Observer* o) { observer_ = o; }
-  Observer* observer() const { return observer_; }
 
   // Typed fast path: copies header+payload into the channel ring; the sink
   // receives the concatenated record at its arrival (and dispatch) time.
@@ -146,15 +135,6 @@ class Network {
   sim::Time min_latency() const { return min_latency(cfg_); }
   static sim::Time min_latency(const NetConfig& cfg) {
     return cfg.wire_latency;
-  }
-
-  std::uint64_t messages_sent() const;
-  std::uint64_t bytes_sent() const;
-  std::uint64_t messages_from(int src) const {
-    return per_node_msgs_[static_cast<std::size_t>(src)];
-  }
-  std::uint64_t bytes_from(int src) const {
-    return per_node_bytes_[static_cast<std::size_t>(src)];
   }
 
   // Host bytes held by the channel table (per-source headers, indexes and
@@ -215,7 +195,7 @@ class Network {
   // pool, where chunks drift from senders' pools to receivers'.
   static constexpr std::size_t kPoolKeepBytes = 64 * 1024;
 
-  // Computes the FIFO-clamped arrival time and records traffic stats.
+  // Computes the FIFO-clamped arrival time.
   sim::Time route(Channel& ch, int src, int dst, std::size_t bytes,
                   sim::Time depart);
   // The (src, dst) channel; every send looks it up, so the open case is
@@ -256,12 +236,7 @@ class Network {
   const int nodes_;
   const NetConfig cfg_;
   MsgSink* sink_ = nullptr;
-  Observer* observer_ = nullptr;
   std::vector<SrcChannels> sources_;  // [src]
-  // Traffic counters are per-source (the source lane owns its own slots, so
-  // concurrent lane drains never share a counter); totals are summed on read.
-  std::vector<std::uint64_t> per_node_msgs_;
-  std::vector<std::uint64_t> per_node_bytes_;
   std::vector<Inbox> inboxes_;  // [dst]
   // One pool per lane under a worker pool, else one shared (mask 0).
   std::vector<ChunkPool> pools_;

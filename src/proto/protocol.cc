@@ -60,8 +60,7 @@ void Protocol::post(int src, int dst, const Msg& m, sim::Time depart) {
   auto& c = rec_.node(src);
   ++c.msgs_sent;
   c.bytes_sent += bytes;
-  if (observer_ != nullptr && m.data_len != 0) [[unlikely]]
-    observer_->on_data_send(src, dst, m);
+  if (observer_ != nullptr) [[unlikely]] observer_->on_send(src, dst, m);
   if (trace_ != nullptr) [[unlikely]]
     trace_->on_msg_send(src, dst, static_cast<std::uint8_t>(m.type), m.block,
                         m.count, static_cast<std::uint32_t>(bytes), depart);

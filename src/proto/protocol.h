@@ -92,17 +92,18 @@ struct ProtoCosts {
   std::size_t header_bytes = 16;
 };
 
-// Observer of protocol-level data movement, implemented by the coherence
-// invariant oracle (check/oracle.h). Null in normal runs; hooks are pure
-// observation (no time charged, no events scheduled), so simulated results
-// are bit-identical with or without it.
-//   on_data_send — a data-carrying message (DataS/DataX/RecallAckData/
-//     BulkData/WuData/UpdateData) at the instant its payload is snapshotted
-//     into the channel ring: the presend-coherence invariant is checked here.
+// Observer of protocol-level message traffic and data movement, implemented
+// by the coherence invariant oracle (check/oracle.h). Null in normal runs;
+// hooks are pure observation (no time charged, no events scheduled), so
+// simulated results are bit-identical with or without it.
+//   on_send — every protocol message, at the instant its header and payload
+//     are copied into the channel ring (post() is the one send path). For a
+//     data-carrying message (DataS/DataX/RecallAckData/BulkData/WuData/
+//     UpdateData) the presend-coherence invariant is checked here.
 //   on_install — a block copy or permission change lands at a node.
 class CoherenceObserver {
  public:
-  virtual void on_data_send(int src, int dst, const Msg& m) = 0;
+  virtual void on_send(int src, int dst, const Msg& m) = 0;
   virtual void on_install(int node, mem::BlockId b, const std::byte* data,
                           mem::Tag tag) = 0;
 
@@ -144,9 +145,9 @@ class Protocol : public net::Network::MsgSink, public mem::FaultHandler {
   // protocol ends its presend with a barrier, §3.4).
   void set_barrier(std::function<void(int)> fn) { barrier_ = std::move(fn); }
 
-  // Attaches the invariant oracle (or detaches with nullptr).
+  // Attaches the invariant oracle, or a tracer that forwards to it (nullptr
+  // detaches).
   void set_coherence_observer(CoherenceObserver* o) { observer_ = o; }
-  CoherenceObserver* coherence_observer() const { return observer_; }
 
   // Attaches the event tracer (trace/tracer.h). Like the oracle, hooks are
   // pure observation; null in untraced runs so the hot paths stay branch-
@@ -219,6 +220,9 @@ class Protocol : public net::Network::MsgSink, public mem::FaultHandler {
   trace::Hooks* trace_ = nullptr;
 
  private:
+  // Every message leaves through here: it is counted (the sender's
+  // msgs_sent/bytes_sent), shown to the observer and the tracer, and handed
+  // to the network.
   void post(int src, int dst, const Msg& m, sim::Time depart);
 
   std::vector<sim::Time> busy_until_;     // protocol dispatch occupancy

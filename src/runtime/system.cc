@@ -109,33 +109,28 @@ System::System(const MachineConfig& cfg, ProtocolKind kind)
 check::Oracle& System::enable_oracle(check::FailMode fail) {
   oracle_ = std::make_unique<check::Oracle>(
       *space_, engine_, check::mode_for_protocol(protocol_->name()), fail);
-  space_->set_access_observer(oracle_.get());
-  protocol_->set_coherence_observer(oracle_.get());
-  net_->set_observer(oracle_.get());
   // Replay the oracle's per-lane buffers at every window boundary. Captures
   // the System (not the oracle) so a replacement oracle inherits the slot
   // without re-registration.
   engine_.set_boundary_op(sim::BoundaryOp::kOracle,
                           [this] { oracle_->replay_window(); });
-  // Replacing the observers displaced an attached tracer; put a fresh one
-  // back on top, forwarding to the new oracle. (Copy the config first: the
-  // reference would dangle once enable_trace replaces the tracer.)
   if (tracer_ != nullptr) {
-    const trace::TraceConfig tcfg = tracer_->config();
-    enable_trace(tcfg);
+    // An attached tracer stays on top and forwards to the new oracle.
+    tracer_->chain(oracle_.get(), oracle_.get());
+  } else {
+    space_->set_access_observer(oracle_.get());
+    protocol_->set_coherence_observer(oracle_.get());
   }
   return *oracle_;
 }
 
 trace::Tracer& System::enable_trace(const trace::TraceConfig& tcfg) {
   tracer_ = std::make_unique<trace::Tracer>(tcfg, *space_, &engine_);
-  // Chain to whatever observers are already installed (the oracle in Debug
-  // builds) so both see the identical call stream.
-  tracer_->chain(space_->access_observer(), protocol_->coherence_observer(),
-                 net_->observer());
+  // The tracer observes first and forwards to the oracle (null when none is
+  // attached), so both see the identical call stream.
+  tracer_->chain(oracle_.get(), oracle_.get());
   space_->set_access_observer(tracer_.get());
   protocol_->set_coherence_observer(tracer_.get());
-  net_->set_observer(tracer_.get());
   protocol_->set_trace_hooks(tracer_.get());
   barrier_->set_trace_hooks(tracer_.get());
   engine_.set_trace_hooks(tracer_.get());
@@ -283,8 +278,8 @@ stats::Report System::report(std::string label) const {
           ? 100.0
           : 100.0 * (1.0 - static_cast<double>(r.faults) /
                                static_cast<double>(r.shared_accesses));
-  r.msgs = net_->messages_sent();
-  r.bytes = net_->bytes_sent();
+  r.msgs = rec_.sum(&stats::NodeCounters::msgs_sent);
+  r.bytes = rec_.sum(&stats::NodeCounters::bytes_sent);
   r.presend_blocks = rec_.sum(&stats::NodeCounters::presend_blocks_sent);
   r.dir_probes = rec_.sum(&stats::NodeCounters::dir_probes);
   r.sched_lookups = rec_.sum(&stats::NodeCounters::sched_lookups);

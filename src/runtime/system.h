@@ -47,18 +47,19 @@ class System {
   proto::CCachedProtocol* ccached();
 
   // Attaches the coherence invariant oracle (check/oracle.h) to this system's
-  // space, protocol and network. Attached automatically at construction when
-  // check::oracle_enabled_by_default() — PRESTO_ORACLE=1/0 overrides the
-  // build-type default (on without NDEBUG, off otherwise). Observation is
-  // pure, so simulated results are bit-identical either way. Calling again
-  // replaces the oracle (the fuzzer re-attaches with FailMode::kRecord).
+  // space and protocol, below an attached tracer. Attached automatically at
+  // construction when check::oracle_enabled_by_default() — PRESTO_ORACLE=1/0
+  // overrides the build-type default (on without NDEBUG, off otherwise).
+  // Observation is pure, so simulated results are bit-identical either way.
+  // Calling again replaces the oracle (the fuzzer attaches one with
+  // FailMode::kRecord).
   check::Oracle& enable_oracle(check::FailMode fail);
   check::Oracle* oracle() { return oracle_.get(); }
 
   // Attaches the event tracer (trace/tracer.h). Attached automatically at
   // construction when cfg.trace.enabled (the --trace CLI flag). The tracer
-  // chains to whatever observers are already installed (the oracle in Debug
-  // builds), so both observe the same run. At the end of run() the trace is
+  // observes first and forwards to the oracle (attached in Debug builds), so
+  // both observe the same run. At the end of run() the trace is
   // written to cfg.trace.path: ".json" → Perfetto trace_event JSON,
   // anything else → the binary format (trace/file.h).
   trace::Tracer& enable_trace(const trace::TraceConfig& tcfg);

@@ -68,8 +68,8 @@ struct WindowPoolStats;
 
 // Fixed boundary-operation slots, run in enum order at every window
 // boundary (serial, on run()'s caller). Re-registering a slot overwrites it,
-// so a subsystem replaced mid-setup (e.g. a tracer re-attached by
-// enable_oracle) simply installs its new callback over the old one.
+// so a subsystem replaced mid-setup (e.g. a tracer replaced by a second
+// enable_trace) simply installs its new callback over the old one.
 enum class BoundaryOp {
   kNet = 0,   // flush staged cross-node messages, in source order
   kSpace,     // service deferred allocation/growth gates, in lane order

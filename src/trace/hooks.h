@@ -1,6 +1,5 @@
-// Trace hook interface — the new observation points this subsystem adds on
-// top of the existing mem::AccessObserver / proto::CoherenceObserver /
-// net::Network::Observer trio.
+// Trace hook interface — the observation points this subsystem adds on top
+// of the mem::AccessObserver / proto::CoherenceObserver pair.
 //
 // Deliberately dependency-free (only <cstdint> + sim/time.h): sim/, proto/
 // and runtime/ hold a `trace::Hooks*` behind a forward declaration and pay

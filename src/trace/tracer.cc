@@ -29,7 +29,7 @@ Tracer::Tracer(const TraceConfig& cfg, mem::GlobalSpace& space,
         (cfg_.categories & event_kind_category(static_cast<EventKind>(k))) != 0;
   if (engine_ != nullptr) {
     PRESTO_CHECK(engine_->windowed(), "the tracer needs a windowed engine");
-    // Overwrites any previous tracer's slot (enable_oracle re-attaches).
+    // Overwrites the slot of a tracer this one replaces.
     engine_->set_boundary_op(sim::BoundaryOp::kTrace,
                              [this] { stamp_window(); });
   }
@@ -112,6 +112,14 @@ void Tracer::stamp_window() {
     buf.stamp_chunk = ci;
     buf.stamp_pos = pos;
   }
+}
+
+sim::Time Tracer::engine_now() const {
+  return engine_ != nullptr ? engine_->now() : 0;
+}
+
+sim::Time Tracer::node_now(int node) const {
+  return engine_ != nullptr ? engine_->processor(node).now() : 0;
 }
 
 // ---- Presend accounting -----------------------------------------------------
@@ -274,7 +282,7 @@ void Tracer::on_app_read(int node, mem::BlockId b, std::size_t off,
     // Access completed without a fault on a presend-installed block: the
     // schedule saved this miss. (A faulting access resolves the pending bit
     // as waste in on_miss_start before this hook runs.)
-    resolve_pending(node, b, /*hit=*/true, engine_->processor(node).now());
+    resolve_pending(node, b, /*hit=*/true, node_now(node));
   }
   st |= kEverValid;
   if (next_access_ != nullptr) next_access_->on_app_read(node, b, off, seen, n);
@@ -284,7 +292,7 @@ void Tracer::on_app_write(int node, mem::BlockId b, std::size_t off,
                           const void* data, std::size_t n) {
   std::uint8_t& st = state(node, b);
   if ((st & kPending) != 0)
-    resolve_pending(node, b, /*hit=*/true, engine_->processor(node).now());
+    resolve_pending(node, b, /*hit=*/true, node_now(node));
   st |= kEverValid;
   if (next_access_ != nullptr)
     next_access_->on_app_write(node, b, off, data, n);
@@ -300,27 +308,19 @@ void Tracer::on_cc_update(int node, mem::BlockId b, std::size_t off,
 
 // ---- proto::CoherenceObserver -----------------------------------------------
 
-void Tracer::on_data_send(int src, int dst, const proto::Msg& m) {
-  if (next_coherence_ != nullptr) next_coherence_->on_data_send(src, dst, m);
+void Tracer::on_send(int src, int dst, const proto::Msg& m) {
+  // The message's trace event comes from on_msg_send; this forwards the
+  // send to the oracle's checks and event ring.
+  if (next_coherence_ != nullptr) next_coherence_->on_send(src, dst, m);
 }
 
 void Tracer::on_install(int node, mem::BlockId b, const std::byte* data,
                         mem::Tag tag) {
   state(node, b) |= kEverValid;
-  emit(EventKind::kInstall, node, engine_->now(), b, 0,
+  emit(EventKind::kInstall, node, engine_now(), b, 0,
        static_cast<std::int16_t>(tag), 0);
   if (next_coherence_ != nullptr)
     next_coherence_->on_install(node, b, data, tag);
-}
-
-// ---- net::Network::Observer -------------------------------------------------
-
-void Tracer::on_message(int src, int dst, std::size_t bytes, sim::Time depart,
-                        sim::Time arrival) {
-  // Protocol traffic is covered by on_msg_send/on_msg_recv (typed, with
-  // block ids); this chain-through keeps the oracle's event ring intact.
-  if (next_net_ != nullptr)
-    next_net_->on_message(src, dst, bytes, depart, arrival);
 }
 
 // ---- End of run -------------------------------------------------------------

@@ -15,13 +15,14 @@
 // in bulk at window boundaries (BoundaryOp::kTrace of the engine the tracer
 // is attached to), and once more at finalize. A tracer built with no engine
 // (a host-cost probe that calls hooks directly) has the same per-node
-// buffers and is stamped at finalize alone. Buffers are bounded by
+// buffers and is stamped at finalize alone; its observer hooks, which are
+// passed no clock, record time 0. Buffers are bounded by
 // TraceConfig::max_events_per_node; overflow drops events but never
 // silently — dropped counts land in the summary and the file meta.
 //
 // Observation is pure (no simulated time charged, no events scheduled), and
-// the tracer chains to whatever observers were attached before it (the
-// coherence oracle in Debug builds), so oracle + tracer coexist and golden
+// the tracer forwards every observer call to the coherence oracle below it
+// (attached in Debug builds), so oracle + tracer coexist and golden
 // counters stay bit-identical with tracing on (tests/trace_test.cc).
 //
 // Presend accounting (two independent paths reconciled by
@@ -89,8 +90,7 @@ struct Summary {
 
 class Tracer final : public Hooks,
                      public mem::AccessObserver,
-                     public proto::CoherenceObserver,
-                     public net::Network::Observer {
+                     public proto::CoherenceObserver {
  public:
   Tracer(const TraceConfig& cfg, mem::GlobalSpace& space, sim::Engine* engine);
   ~Tracer();
@@ -98,13 +98,13 @@ class Tracer final : public Hooks,
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  // Observers attached before the tracer; every hook forwards to them, so
-  // the oracle sees the exact call stream it would without tracing.
-  void chain(mem::AccessObserver* access, proto::CoherenceObserver* coherence,
-             net::Network::Observer* net) {
+  // Observers below the tracer (the oracle, when one is attached); every
+  // hook forwards to them, so the oracle sees the exact call stream it would
+  // without tracing.
+  void chain(mem::AccessObserver* access,
+             proto::CoherenceObserver* coherence) {
     next_access_ = access;
     next_coherence_ = coherence;
-    next_net_ = net;
   }
 
   const TraceConfig& config() const { return cfg_; }
@@ -145,13 +145,9 @@ class Tracer final : public Hooks,
                     std::int64_t delta) override;
 
   // ---- proto::CoherenceObserver ---------------------------------------------
-  void on_data_send(int src, int dst, const proto::Msg& m) override;
+  void on_send(int src, int dst, const proto::Msg& m) override;
   void on_install(int node, mem::BlockId b, const std::byte* data,
                   mem::Tag tag) override;
-
-  // ---- net::Network::Observer -----------------------------------------------
-  void on_message(int src, int dst, std::size_t bytes, sim::Time depart,
-                  sim::Time arrival) override;
 
   // ---- End of run ------------------------------------------------------------
   // Resolves still-pending presends as unused and freezes the summary.
@@ -215,6 +211,10 @@ class Tracer final : public Hooks,
   void stamp_window();
   // Resolves a pending presend on access (hit) or fault/overwrite (waste).
   void resolve_pending(int node, mem::BlockId b, bool hit, sim::Time t);
+  // Clocks for the observer hooks, which pass none: the engine's, or the
+  // node's processor's. A tracer with no engine stamps those events at 0.
+  sim::Time engine_now() const;
+  sim::Time node_now(int node) const;
 
   const TraceConfig cfg_;
   mem::GlobalSpace& space_;
@@ -222,7 +222,6 @@ class Tracer final : public Hooks,
 
   mem::AccessObserver* next_access_ = nullptr;
   proto::CoherenceObserver* next_coherence_ = nullptr;
-  net::Network::Observer* next_net_ = nullptr;
 
   // Per-node buffers and summary shards: lanes append concurrently.
   std::vector<NodeBuf> bufs_;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "runtime/system.h"
+#include "trace/file.h"
 #include "trace/tracer.h"
 
 namespace presto::testutil {
@@ -40,15 +41,6 @@ struct WorkloadResult {
   trace::TraceData trace_data;  // canonical stream + meta
 };
 
-inline std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t n) {
-  const auto* b = static_cast<const unsigned char*>(p);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= b[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 // Snapshot of a finished run: per-node counters, network totals, exec
 // time, host counters, an FNV-1a hash over every node's view and tags, the
 // ccached flush counters and, when traced, the trace.
@@ -58,8 +50,8 @@ inline WorkloadResult collect_result(runtime::System& sys) {
   WorkloadResult res;
   for (int n = 0; n < cfg.nodes; ++n)
     res.counters.push_back(sys.recorder().node(n));
-  res.msgs = sys.network().messages_sent();
-  res.bytes = sys.network().bytes_sent();
+  res.msgs = sys.recorder().sum(&stats::NodeCounters::msgs_sent);
+  res.bytes = sys.recorder().sum(&stats::NodeCounters::bytes_sent);
   res.events = sys.engine().events_executed();
   res.exec = sys.exec_time();
   res.host = sys.recorder().host();
@@ -68,12 +60,12 @@ inline WorkloadResult collect_result(runtime::System& sys) {
     res.cc_flushes = cs.flushes;
     res.cc_entries = cs.flushed_entries;
   }
-  std::uint64_t h = 1469598103934665603ULL;
+  std::uint64_t h = trace::kFnvBasis;
   for (int n = 0; n < cfg.nodes; ++n) {
     for (std::uint64_t b = 0; b < space.num_blocks(); ++b) {
-      h = fnv1a(h, space.block_data(n, b), cfg.mem.block_size);
+      h = trace::fnv1a64(h, space.block_data(n, b), cfg.mem.block_size);
       const auto t = static_cast<std::uint8_t>(space.tag(n, b));
-      h = fnv1a(h, &t, 1);
+      h = trace::fnv1a64(h, &t, 1);
     }
   }
   res.mem_hash = h;

@@ -101,23 +101,6 @@ TEST(Network, DistinctChannelsDoNotSerialize) {
   EXPECT_EQ(sink.bodies(), (std::vector<std::string>{"2", "1"}));
 }
 
-TEST(Network, CountsMessagesAndBytes) {
-  sim::Engine e;
-  Network net(e, 4, NetConfig{});
-  RecordingSink sink(e);
-  net.set_msg_sink(&sink);
-  send(net, 0, 1, 100, 0);
-  send(net, 0, 2, 50, 0);
-  send(net, 3, 0, 25, 0);
-  e.run();
-  EXPECT_EQ(sink.got.size(), 3u);
-  EXPECT_EQ(net.messages_sent(), 3u);
-  EXPECT_EQ(net.bytes_sent(), 175u);
-  EXPECT_EQ(net.messages_from(0), 2u);
-  EXPECT_EQ(net.bytes_from(0), 150u);
-  EXPECT_EQ(net.messages_from(3), 1u);
-}
-
 TEST(Network, RejectsBadEndpoints) {
   sim::Engine e;
   Network net(e, 2, NetConfig{});

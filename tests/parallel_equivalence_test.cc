@@ -13,6 +13,8 @@
 //     trace digest (equal digests => byte-identical canonical streams);
 //   * randomized soak — 20 runs with PRNG-drawn worker counts, every one
 //     digest-identical to the reference;
+//   * width — the 64-node ring that CI's parallel speedup floor runs, at 2
+//     and 4 workers;
 //   * backend equivalence — a full Barnes run lands on the same canon on
 //     kFiber and kParallel.
 //
@@ -242,6 +244,59 @@ TEST(ParallelEquivalenceRanker, CCachedChecksumAndReportBitIdentical) {
     EXPECT_EQ(serial.report.faults, par.report.faults);
     EXPECT_EQ(serial.report.cc_flushes, par.report.cc_flushes);
     EXPECT_EQ(serial.report.cc_entries, par.report.cc_entries);
+  }
+}
+
+// ---- The ring at the CI floor's width ---------------------------------------
+// host_throughput's ring leg at its quick size: 64 nodes, every node writes
+// its own 16 blocks and reads its neighbour's, for 2 rounds, under
+// predictive with coalescing off. Every lane has protocol work in every
+// window, at four times the width of any other case here, so this is the
+// run in which TSan sees the workload that CI's ring speedup floor measures.
+
+WorkloadResult run_ring64(sim::Backend backend, int workers) {
+  constexpr int kNodes = 64;
+  constexpr int kBlocks = 16;
+  constexpr int kRounds = 2;
+  runtime::MachineConfig cfg = runtime::MachineConfig::cm5_blizzard(kNodes, 32);
+  cfg.backend = backend;
+  cfg.workers = workers;
+  cfg.trace.enabled = true;  // in-memory: the digest is compared
+  runtime::System sys(cfg, ProtocolKind::kPredictive);
+  sys.predictive()->set_coalescing(false);
+  std::vector<mem::Addr> base;
+  for (int n = 0; n < kNodes; ++n)
+    base.push_back(sys.space().alloc_on_node(n, kBlocks * 32));
+  sys.run([&](runtime::NodeCtx& c) {
+    const auto id = static_cast<std::size_t>(c.id());
+    const mem::Addr mine = base[id];
+    const mem::Addr next = base[(id + 1) % kNodes];
+    for (int r = 0; r < kRounds; ++r) {
+      c.phase(0);
+      for (int b = 0; b < kBlocks; ++b)
+        c.write<int>(mine + static_cast<mem::Addr>(b) * 32, r + b);
+      c.barrier();
+      c.phase(1);
+      for (int b = 0; b < kBlocks; ++b) {
+        volatile int v = c.read<int>(next + static_cast<mem::Addr>(b) * 32);
+        (void)v;
+      }
+      c.barrier();
+    }
+  });
+  return testutil::collect_result(sys);
+}
+
+TEST(ParallelRing64, WorkersMatchSerial) {
+  const WorkloadResult serial = run_ring64(sim::Backend::kFiber, 1);
+  EXPECT_GT(serial.msgs, 0u);
+  EXPECT_GT(serial.trace_summary.presend_installs, 0u);
+  for (int workers : {2, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const WorkloadResult par = run_ring64(sim::Backend::kParallel, workers);
+    EXPECT_GT(par.host.win_releases, 0u)
+        << "the pool never released a helper; this test has gone vacuous";
+    expect_equal(serial, par);
   }
 }
 

@@ -206,4 +206,74 @@ TEST(TraceNames, TablesAreTotalAndRoundTrip) {
                 trace::kCatSim);
 }
 
+// A tracer built with no engine (the constructor a host-cost probe uses to
+// call hooks directly) takes every hook, including the observer hooks that
+// read a clock and the reads and writes that consume a pending presend; its
+// events are stamped at finalize, and the clockless hooks record time 0.
+TEST(TracerNoEngine, EveryHookThenFinalizeAndBuild) {
+  mem::GlobalSpace space(4, mem::MemConfig{});
+  trace::TraceConfig cfg;
+  cfg.enabled = true;
+  trace::Tracer t(cfg, space, nullptr);
+  const auto gets = static_cast<std::uint8_t>(proto::MsgType::GetS);
+
+  t.on_phase_begin(0, 1, 10);
+  t.on_phase_ready(0, 1, 11);
+  t.on_phase_flush(0, 1, 12);
+  t.on_barrier_arrive(1, 0, 13);
+  t.on_barrier_release(1, 0, 14);
+  t.on_lock_acquire(2, 7, 15);
+  t.on_lock_acquired(2, 7, 16, /*contended=*/true);
+  t.on_lock_release(2, 7, 17);
+  t.on_miss_start(3, 5, /*is_write=*/false, 18);
+  proto::Msg m;
+  m.type = proto::MsgType::GetS;
+  m.src = 3;
+  m.block = 5;
+  t.on_send(3, 0, m);
+  t.on_msg_send(3, 0, gets, 5, 1, 16, 18);
+  t.on_msg_recv(0, 3, gets, 5, 16, 48, 48);
+  t.on_install(3, 5, nullptr, mem::Tag::ReadOnly);
+  t.on_miss_end(3, 5, /*is_write=*/false, 90);
+  // Blocks 8 and 9 arrive by presend at node 1 and are consumed there.
+  t.on_presend_install(1, 0, 8, 2, 50);
+  const int v = 42;
+  t.on_app_read(1, 8, 0, &v, sizeof v);
+  t.on_app_write(1, 9, 0, &v, sizeof v);
+  t.on_cc_update(1, 9, 0, 3);
+  t.on_ctx_block(2, 60);
+  t.on_ctx_resume(2, 61);
+
+  t.finalize(100, "stache");
+  const trace::Summary& s = t.summary();
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.presend_installs, 2u);
+  EXPECT_EQ(s.presend_hits, 2u);
+  EXPECT_EQ(s.presend_waste + s.presend_unused, 0u);
+  EXPECT_EQ(s.dropped, 0u);
+
+  const trace::TraceData d = t.build(proto::ProtoCosts{}, net::NetConfig{});
+  EXPECT_EQ(d.meta.nodes, 4u);
+  EXPECT_EQ(d.meta.exec_time, 100);
+  ASSERT_EQ(d.events.size(), s.events);
+  EXPECT_EQ(d.events.size(), 19u);
+  std::uint32_t installs = 0, hits = 0;
+  for (std::size_t i = 0; i < d.events.size(); ++i) {
+    const trace::Event& e = d.events[i];
+    EXPECT_EQ(e.seq, i);  // stamped at finalize, in node then append order
+    const auto k = static_cast<trace::EventKind>(e.kind);
+    if (k == trace::EventKind::kInstall) {
+      ++installs;
+      EXPECT_EQ(e.t, 0u);
+    }
+    if (k == trace::EventKind::kPresendHit) {
+      ++hits;
+      EXPECT_EQ(e.t, 0u);
+    }
+  }
+  EXPECT_EQ(installs, 1u);
+  EXPECT_EQ(hits, 2u);
+  EXPECT_EQ(t.digest().events, d.events.size());
+}
+
 }  // namespace
