@@ -59,8 +59,10 @@ int main(int argc, char** argv) {
   cli.reject_unknown();
 
   std::vector<stats::Report> reports;
+  int run = 0;
   for (const bool coalesce : {true, false})
-    reports.push_back(run_stream(scale.nodes, kb, iters, coalesce, trace_cfg));
+    reports.push_back(run_stream(scale.nodes, kb, iters, coalesce,
+                                 trace_cfg.for_run(run++)));
 
   bench::print_results("Ablation: presend bulk coalescing (producer-consumer "
                        "stream, " + std::to_string(kb) + " KiB/iter)",

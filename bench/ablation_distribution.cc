@@ -91,16 +91,17 @@ int main(int argc, char** argv) {
 
   std::vector<stats::Report> reports;
   std::vector<apps::AppResult> results;
+  int run = 0;
   for (const bool opt : {false, true}) {
     const auto kind = opt ? runtime::ProtocolKind::kPredictive
                           : runtime::ProtocolKind::kStache;
     const char* suffix = opt ? " + predictive" : " (stache)";
     results.push_back(run_stencil<runtime::Aggregate2D<float>>(
         std::string("row-block") + suffix, kind, opt, scale, n, iters,
-        rowblock_owned, trace_cfg));
+        rowblock_owned, trace_cfg.for_run(run++)));
     results.push_back(run_stencil<runtime::TiledAggregate2D<float>>(
         std::string("tiled") + suffix, kind, opt, scale, n, iters,
-        tiled_owned, trace_cfg));
+        tiled_owned, trace_cfg.for_run(run++)));
   }
   for (const auto& r : results) reports.push_back(r.report);
   bench::check_equal_checksums(results, 0.0);

@@ -22,14 +22,15 @@ int main(int argc, char** argv) {
   if (params.iters < 4) params.iters = 4;
 
   auto machine = runtime::MachineConfig::cm5_blizzard(scale.nodes, 32);
-  machine.trace = trace_cfg;
   scale.apply(machine);
 
   std::vector<stats::Report> reports;
   std::vector<apps::AppResult> results;
+  int run = 0;
   for (const int flush : {0, 4, 16}) {
     apps::AdaptiveParams p = params;
     p.flush_every = flush;
+    machine.trace = trace_cfg.for_run(run++);
     auto r = apps::run_adaptive(p, machine,
                                 runtime::ProtocolKind::kPredictive, true);
     r.report.label = flush == 0 ? "incremental (never flush)"

@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
       m.costs.fault = mul(m.costs.fault);
       m.costs.handler = mul(m.costs.handler);
     }
-    m.trace = trace_cfg;
     scale.apply(m);
     return m;
   };
@@ -67,7 +66,8 @@ int main(int argc, char** argv) {
   const auto runs = util::parallel_map(n_runs, jobs, [&](int i) {
     const Point& pt = points[static_cast<std::size_t>(i / 2)];
     const bool optimized = (i % 2) != 0;
-    const runtime::MachineConfig m = machine_for(pt);
+    runtime::MachineConfig m = machine_for(pt);
+    m.trace = trace_cfg.for_run(i);
     return optimized
                ? apps::run_water(params, m, runtime::ProtocolKind::kPredictive,
                                  true)

@@ -83,8 +83,9 @@ inline std::vector<runtime::ProtocolKind> protocols_from_cli(
 
 // --trace=FILE[:cat,cat...] records a deterministic event trace of each run
 // (docs/observability.md). ".json" writes Perfetto trace_event JSON, any
-// other extension the binary format for presto_trace. When a bench runs
-// several Systems, runs after the first get a ".N" path suffix.
+// other extension the binary format for presto_trace. A bench running
+// several Systems gives run i (its index in the bench's run order) the
+// config trace_cfg.for_run(i): FILE, FILE.1, ... (trace::TraceConfig).
 inline trace::TraceConfig trace_from_cli(const util::Cli& cli) {
   return trace::TraceConfig::from_spec(cli.get("trace", ""));
 }

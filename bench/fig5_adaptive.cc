@@ -43,15 +43,13 @@ int main(int argc, char** argv) {
 
   // Every version is an independent System instance: run them on the host
   // pool. Results come back in index order, so the output is identical at
-  // any --jobs. Trace files are numbered in run order
-  // (docs/observability.md), so a traced run takes the versions in order.
+  // any --jobs, and so are the trace files, named by version index.
   const std::vector<apps::AppResult> results = util::parallel_map(
-      static_cast<int>(versions.size()), trace_cfg.enabled ? 1 : jobs,
-      [&](int i) {
+      static_cast<int>(versions.size()), jobs, [&](int i) {
         const Version& v = versions[static_cast<std::size_t>(i)];
         auto machine =
             runtime::MachineConfig::cm5_blizzard(scale.nodes, v.block);
-        machine.trace = trace_cfg;
+        machine.trace = trace_cfg.for_run(i);
         scale.apply(machine);
         auto r = apps::run_adaptive(params, machine,
                                     v.optimized

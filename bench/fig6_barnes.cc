@@ -42,10 +42,11 @@ int main(int argc, char** argv) {
 
   std::vector<apps::AppResult> results;
   std::vector<stats::Report> reports;
+  int run = 0;
   for (const auto& v : versions) {
     auto machine =
         runtime::MachineConfig::cm5_blizzard(scale.nodes, v.block);
-    machine.trace = trace_cfg;
+    machine.trace = trace_cfg.for_run(run++);
     scale.apply(machine);
     auto r = apps::run_barnes(params, machine, v.kind, v.directives);
     r.report.label = apps::version_label(v.label, v.block);

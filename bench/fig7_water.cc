@@ -51,6 +51,7 @@ int main(int argc, char** argv) {
 
   std::vector<apps::AppResult> results;
   std::vector<stats::Report> reports;
+  int run = 0;
   for (const auto& v : versions) {
     // Per-version best block size, as in the paper's figure.
     apps::AppResult best;
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
     for (const std::uint32_t block : v.splash ? splash_blocks : block_sizes) {
       auto machine =
           runtime::MachineConfig::cm5_blizzard(scale.nodes, block);
-      machine.trace = trace_cfg;
+      machine.trace = trace_cfg.for_run(run++);
       scale.apply(machine);
       auto r = v.splash ? apps::run_water_splash(params, machine)
                         : apps::run_water(params, machine, v.kind,

@@ -38,7 +38,6 @@ int main(int argc, char** argv) {
 
   // Measured workload characteristics (scaled sizes) per protocol.
   auto machine = runtime::MachineConfig::cm5_blizzard(scale.nodes, 32);
-  machine.trace = trace_cfg;
   scale.apply(machine);
 
   apps::AdaptiveParams ap;
@@ -79,12 +78,14 @@ int main(int argc, char** argv) {
         const bool directives =
             kind == runtime::ProtocolKind::kPredictive ||
             kind == runtime::ProtocolKind::kPredictiveAnticipate;
+        runtime::MachineConfig m = machine;
+        m.trace = trace_cfg.for_run(i);
         switch (a) {
-          case 0: return apps::run_adaptive(ap, machine, kind, directives);
-          case 1: return apps::run_barnes(bp, machine, kind, directives);
-          case 2: return apps::run_water(wp, machine, kind, directives);
-          case 3: return apps::run_ocean(op, machine, kind, directives);
-          default: return apps::run_ranker(rp, machine, kind, directives);
+          case 0: return apps::run_adaptive(ap, m, kind, directives);
+          case 1: return apps::run_barnes(bp, m, kind, directives);
+          case 2: return apps::run_water(wp, m, kind, directives);
+          case 3: return apps::run_ocean(op, m, kind, directives);
+          default: return apps::run_ranker(rp, m, kind, directives);
         }
       });
 
@@ -116,7 +117,7 @@ int main(int argc, char** argv) {
               t.to_string().c_str());
   // When traced, surface the attribution block (miss classes including
   // merge traffic) for each application's protocol sweep.
-  if (machine.trace.enabled) {
+  if (trace_cfg.enabled) {
     for (int a = 0; a < kApps; ++a) {
       std::vector<stats::Report> reports;
       for (int p = 0; p < nprotos; ++p)

@@ -23,13 +23,14 @@ int main(int argc, char** argv) {
   cli.reject_unknown();
 
   auto machine = runtime::MachineConfig::cm5_blizzard(nodes, block);
-  machine.trace = trace_cfg;
+  machine.trace = trace_cfg.for_run(0);
   std::printf("Adaptive %zux%zu, %d iterations, %d nodes, %uB blocks\n\n",
               params.n, params.n, params.iters, nodes, block);
 
   auto unopt =
       apps::run_adaptive(params, machine, runtime::ProtocolKind::kStache, false);
   unopt.report.label = "unoptimized (stache)";
+  machine.trace = trace_cfg.for_run(1);
   auto opt = apps::run_adaptive(params, machine,
                                 runtime::ProtocolKind::kPredictive, true);
   opt.report.label = "optimized (predictive)";

@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
   cli.reject_unknown();
 
   auto machine = runtime::MachineConfig::cm5_blizzard(nodes, block);
-  machine.trace = trace_cfg;
   std::printf("Barnes-Hut: %zu bodies, %d steps, %d nodes, %uB blocks\n\n",
               params.bodies, params.steps, nodes, block);
 
@@ -42,7 +41,9 @@ int main(int argc, char** argv) {
   std::vector<stats::Report> reports;
   double checksum = 0.0;
   bool mismatch = false;
+  int run = 0;
   for (const auto& v : versions) {
+    machine.trace = trace_cfg.for_run(run++);
     auto r = apps::run_barnes(params, machine, v.kind, v.directives);
     r.report.label = v.label;
     if (reports.empty())

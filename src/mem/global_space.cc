@@ -1,5 +1,6 @@
 #include "mem/global_space.h"
 
+#include <algorithm>
 #include <bit>
 
 namespace presto::mem {
@@ -8,6 +9,21 @@ namespace {
 int log2_exact(std::uint32_t v) {
   PRESTO_CHECK(std::has_single_bit(v), "not a power of two: " << v);
   return std::countr_zero(v);
+}
+
+// Calls fn(block, offset in the block, offset in the caller's buffer,
+// length) for each block [a, a+n) touches, in block order.
+template <typename Fn>
+void for_each_block(Addr a, std::size_t n, int block_shift, Fn&& fn) {
+  const Addr mask = (Addr{1} << block_shift) - 1;
+  for (std::size_t pos = 0; pos < n;) {
+    const auto off = static_cast<std::size_t>(a & mask);
+    const std::size_t len =
+        std::min(n - pos, static_cast<std::size_t>(mask + 1) - off);
+    fn(static_cast<BlockId>(a >> block_shift), off, pos, len);
+    a += len;
+    pos += len;
+  }
 }
 }  // namespace
 
@@ -149,41 +165,48 @@ void GlobalSpace::resolve_fault(int node, BlockId b, bool is_write) {
 
 void GlobalSpace::read_slow(int node, Addr a, void* out, std::size_t n) {
   std::byte* dst = static_cast<std::byte*>(out);
-  while (n > 0) {
-    const BlockId b = block_of(a);
-    if (tag(node, b) == Tag::Invalid)
-      resolve_fault(node, b, /*is_write=*/false);
-    const std::size_t in_block =
-        cfg_.block_size - static_cast<std::size_t>(a & (cfg_.block_size - 1));
-    const std::size_t chunk = n < in_block ? n : in_block;
-    const std::byte* src =
-        block_data(node, b) + (a & (cfg_.block_size - 1));
-    std::memcpy(dst, src, chunk);
-    if (observer_ != nullptr) [[unlikely]]
-      observer_->on_app_read(node, b, a & (cfg_.block_size - 1), dst, chunk);
-    a += chunk;
-    dst += chunk;
-    n -= chunk;
-  }
+  for_each_block(a, n, block_shift_,
+                 [&](BlockId b, std::size_t off, std::size_t pos,
+                     std::size_t len) {
+                   if (tag(node, b) == Tag::Invalid)
+                     resolve_fault(node, b, /*is_write=*/false);
+                   std::memcpy(dst + pos, block_data(node, b) + off, len);
+                   if (observer_ != nullptr) [[unlikely]]
+                     observer_->on_app_read(node, b, off, dst + pos, len);
+                 });
 }
 
 void GlobalSpace::write_slow(int node, Addr a, const void* in, std::size_t n) {
   const std::byte* src = static_cast<const std::byte*>(in);
-  while (n > 0) {
-    const BlockId b = block_of(a);
-    if (tag(node, b) != Tag::ReadWrite)
-      resolve_fault(node, b, /*is_write=*/true);
-    const std::size_t in_block =
-        cfg_.block_size - static_cast<std::size_t>(a & (cfg_.block_size - 1));
-    const std::size_t chunk = n < in_block ? n : in_block;
-    std::byte* dst = block_data(node, b) + (a & (cfg_.block_size - 1));
-    std::memcpy(dst, src, chunk);
-    if (observer_ != nullptr) [[unlikely]]
-      observer_->on_app_write(node, b, a & (cfg_.block_size - 1), src, chunk);
-    a += chunk;
-    src += chunk;
-    n -= chunk;
-  }
+  for_each_block(a, n, block_shift_,
+                 [&](BlockId b, std::size_t off, std::size_t pos,
+                     std::size_t len) {
+                   if (tag(node, b) != Tag::ReadWrite)
+                     resolve_fault(node, b, /*is_write=*/true);
+                   std::memcpy(block_data(node, b) + off, src + pos, len);
+                   if (observer_ != nullptr) [[unlikely]]
+                     observer_->on_app_write(node, b, off, src + pos, len);
+                 });
+}
+
+void GlobalSpace::observe_read(int node, Addr a, const void* out,
+                               std::size_t n) {
+  const std::byte* seen = static_cast<const std::byte*>(out);
+  for_each_block(a, n, block_shift_,
+                 [&](BlockId b, std::size_t off, std::size_t pos,
+                     std::size_t len) {
+                   observer_->on_app_read(node, b, off, seen + pos, len);
+                 });
+}
+
+void GlobalSpace::observe_write(int node, Addr a, const void* in,
+                                std::size_t n) {
+  const std::byte* data = static_cast<const std::byte*>(in);
+  for_each_block(a, n, block_shift_,
+                 [&](BlockId b, std::size_t off, std::size_t pos,
+                     std::size_t len) {
+                   observer_->on_app_write(node, b, off, data + pos, len);
+                 });
 }
 
 void GlobalSpace::rmw(int node, Addr a, std::size_t n,

@@ -11,9 +11,11 @@
 // corrupt application results and are caught by the numeric tests.
 //
 // The access path mirrors the hardware split Blizzard emulates in software:
-// the tag check plus data copy for a permitted single-block access is
-// inlined here (no virtual call, no std::function), and only faults or
-// block-spanning accesses drop into the out-of-line slow path.
+// a permitted access that lies inside one materialized page completes inline
+// here, with one tag probe per block it touches and one copy (no virtual
+// call, no std::function), whatever the block size. Only faults,
+// page-spanning accesses and first touches of a page's frame drop into the
+// out-of-line slow path.
 #pragma once
 
 #include <cstdint>
@@ -199,31 +201,25 @@ class GlobalSpace {
   void set_access_observer(AccessObserver* o) { observer_ = o; }
   AccessObserver* access_observer() const { return observer_; }
 
-  // Permitted single-block accesses complete inline; faults and
-  // block-spanning accesses take the out-of-line slow path.
+  // An access inside one page whose frame is materialized and whose every
+  // block the tag permits is one copy of n bytes, block-spanning or not;
+  // an attached observer then sees the same per-block calls the slow path
+  // makes. Faults, page-spanning accesses and unmaterialized frames take the
+  // out-of-line slow path, which moves the same bytes block by block.
   void read(int node, Addr a, void* out, std::size_t n) {
-    const std::size_t off =
-        static_cast<std::size_t>(a) & (cfg_.block_size - 1);
-    const BlockId b = block_of(a);
-    if (off + n <= cfg_.block_size && tag(node, b) != Tag::Invalid)
+    if (const std::byte* src = permitted(node, a, n, Tag::ReadOnly))
         [[likely]] {
-      std::memcpy(out, block_data(node, b) + off, n);
-      if (observer_ != nullptr) [[unlikely]]
-        observer_->on_app_read(node, b, off, out, n);
+      std::memcpy(out, src, n);
+      if (observer_ != nullptr) [[unlikely]] observe_read(node, a, out, n);
       return;
     }
     read_slow(node, a, out, n);
   }
 
   void write(int node, Addr a, const void* in, std::size_t n) {
-    const std::size_t off =
-        static_cast<std::size_t>(a) & (cfg_.block_size - 1);
-    const BlockId b = block_of(a);
-    if (off + n <= cfg_.block_size && tag(node, b) == Tag::ReadWrite)
-        [[likely]] {
-      std::memcpy(block_data(node, b) + off, in, n);
-      if (observer_ != nullptr) [[unlikely]]
-        observer_->on_app_write(node, b, off, in, n);
+    if (std::byte* dst = permitted(node, a, n, Tag::ReadWrite)) [[likely]] {
+      std::memcpy(dst, in, n);
+      if (observer_ != nullptr) [[unlikely]] observe_write(node, a, in, n);
       return;
     }
     write_slow(node, a, in, n);
@@ -251,8 +247,28 @@ class GlobalSpace {
   void grow_to(std::size_t new_size);
   std::byte* materialize_frame(int node, PageId p);
   std::uint8_t* materialize_tags(int node, PageId p);
+  // The node-local bytes at a when [a, a+n) lies in one page whose frame is
+  // materialized and every block it touches holds at least `need` (tags
+  // order Invalid < ReadOnly < ReadWrite); else nullptr.
+  std::byte* permitted(int node, Addr a, std::size_t n, Tag need) {
+    const std::size_t off =
+        static_cast<std::size_t>(a) & (cfg_.page_size - 1);
+    if (off + n > cfg_.page_size) return nullptr;
+    const auto nd = static_cast<std::size_t>(node);
+    const auto p = static_cast<std::size_t>(a >> page_shift_);
+    const std::uint8_t* t = tags_[nd][p].get();
+    std::byte* f = frames_[nd][p].get();
+    if (t == nullptr || f == nullptr) return nullptr;
+    const std::size_t last = (off + (n > 0 ? n - 1 : 0)) >> block_shift_;
+    for (std::size_t i = off >> block_shift_; i <= last; ++i)
+      if (t[i] < static_cast<std::uint8_t>(need)) return nullptr;
+    return f + off;
+  }
   void read_slow(int node, Addr a, void* out, std::size_t n);
   void write_slow(int node, Addr a, const void* in, std::size_t n);
+  // The observer calls of a fast-path access, one per block in block order.
+  void observe_read(int node, Addr a, const void* out, std::size_t n);
+  void observe_write(int node, Addr a, const void* in, std::size_t n);
   // Vectors to the fault handler until the tag permits the access.
   void resolve_fault(int node, BlockId b, bool is_write);
 

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <utility>
+#include <vector>
 
 #include "mem/global_space.h"
 #include "runtime/node_ctx.h"
@@ -91,14 +92,21 @@ class Aggregate2D {
     a.rows_per_node_ = (rows + static_cast<std::size_t>(a.nodes_) - 1) /
                        static_cast<std::size_t>(a.nodes_);
     const std::size_t page = space.page_size();
-    a.node_stride_ =
+    const std::size_t node_stride =
         ((a.rows_per_node_ * cols * sizeof(T) + page - 1) / page) * page;
-    const std::size_t pages_per_node = a.node_stride_ / page;
-    a.base_ = space.alloc(
-        a.node_stride_ * static_cast<std::size_t>(a.nodes_),
+    const std::size_t pages_per_node = node_stride / page;
+    const mem::Addr base = space.alloc(
+        node_stride * static_cast<std::size_t>(a.nodes_),
         [&](mem::PageId p) {
           return static_cast<int>(p / pages_per_node);
         });
+    // Each row's address, so addr() is one add per element, not a division.
+    a.row_base_.resize(rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+      const auto k = static_cast<std::size_t>(a.owner(i));
+      a.row_base_[i] = base + k * node_stride +
+                       (i - k * a.rows_per_node_) * cols * sizeof(T);
+    }
     return a;
   }
 
@@ -114,9 +122,7 @@ class Aggregate2D {
     PRESTO_CHECK(i < rows_ && j < cols_,
                  "aggregate index (" << i << "," << j << ") out of ("
                                      << rows_ << "," << cols_ << ")");
-    const std::size_t k = static_cast<std::size_t>(owner(i));
-    return base_ + k * node_stride_ +
-           ((i - k * rows_per_node_) * cols_ + j) * sizeof(T);
+    return row_base_[i] + j * sizeof(T);
   }
 
   // The contiguous row range owned by `node` (may be empty).
@@ -134,10 +140,9 @@ class Aggregate2D {
   }
 
  private:
-  mem::Addr base_ = 0;
+  std::vector<mem::Addr> row_base_;
   std::size_t rows_ = 0, cols_ = 0;
   std::size_t rows_per_node_ = 0;
-  std::size_t node_stride_ = 0;
   int nodes_ = 0;
 };
 

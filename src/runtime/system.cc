@@ -1,6 +1,5 @@
 #include "runtime/system.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -218,27 +217,9 @@ void System::run(const std::function<void(NodeCtx&)>& body) {
   }
 }
 
-namespace {
-
-// Benches run several Systems with the same --trace flag in one process;
-// give each run after the first a ".N" suffix before the extension instead
-// of overwriting.
-std::string trace_output_path(const std::string& path) {
-  // Atomic: the experiment pool runs Systems on concurrent host threads.
-  static std::atomic<int> runs{0};
-  const int n = runs.fetch_add(1, std::memory_order_relaxed);
-  if (n == 0) return path;
-  const std::size_t dot = path.rfind('.');
-  const std::string suffix = "." + std::to_string(n);
-  if (dot == std::string::npos || dot == 0) return path + suffix;
-  return path.substr(0, dot) + suffix + path.substr(dot);
-}
-
-}  // namespace
-
 void System::write_trace() {
   const trace::TraceData data = tracer_->build(cfg_.costs, cfg_.net);
-  const std::string path = trace_output_path(tracer_->config().path);
+  const std::string& path = tracer_->config().path;
   const bool json = path.size() >= 5 &&
                     path.compare(path.size() - 5, 5, ".json") == 0;
   std::string err;

@@ -60,8 +60,9 @@ class System {
   // construction when cfg.trace.enabled (the --trace CLI flag). The tracer
   // observes first and forwards to the oracle (attached in Debug builds), so
   // both observe the same run. At the end of run() the trace is
-  // written to cfg.trace.path: ".json" → Perfetto trace_event JSON,
-  // anything else → the binary format (trace/file.h).
+  // written to cfg.trace.path as given: ".json" → Perfetto trace_event JSON,
+  // anything else → the binary format (trace/file.h). Callers running several
+  // Systems name each run's file with TraceConfig::for_run.
   trace::Tracer& enable_trace(const trace::TraceConfig& tcfg);
   trace::Tracer* tracer() { return tracer_.get(); }
 

@@ -37,7 +37,7 @@
 // serially in lane order.
 //
 // Run-ahead: a processor computing between events yields only when its
-// clock passes the next event of its lane *below the cap* (yield_horizon), so
+// clock passes the next event of its lane *below the cap* (lane_horizon), so
 // a processor whose lane has nothing below the cap runs on past the cap to
 // its next block. Stolen handler time is charged only while a processor is
 // not parked (proto/protocol.cc), so a message that arrives during that span
@@ -145,17 +145,15 @@ class Engine {
                                : global_now_;
   }
 
-  // Earliest pending event time on the calling context's lane that will
-  // still execute in the current window, or kTimeNever. Running processors
-  // yield when their local clock passes it, so cross-processor effects
-  // interleave at event granularity; an event beyond the lane's cap cannot
-  // run until the next window, so a computing processor need not yield for
-  // it (a bare single-lane engine has no cap: this is the queue head).
-  Time yield_horizon() const {
-    const Lane& l =
-        windowed_ && tls_engine_ == this
-            ? *lanes_[static_cast<std::size_t>(tls_lane_)]
-            : *lane0_;
+  // Earliest pending event time on `lane` that will still execute in the
+  // current window, or kTimeNever. A processor computing on its lane yields
+  // when its local clock passes it (Processor::charge), so cross-processor
+  // effects interleave at event granularity; an event beyond the lane's cap
+  // cannot run until the next window, so a computing processor need not
+  // yield for it (a bare single-lane engine has no cap: this is the queue
+  // head).
+  Time lane_horizon(int lane) const {
+    const Lane& l = *lanes_[static_cast<std::size_t>(lane)];
     if (l.heap.empty()) return kTimeNever;
     const Time h = l.heap[0].t;
     return h < l.cap ? h : kTimeNever;

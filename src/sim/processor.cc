@@ -89,22 +89,6 @@ void Processor::wake(Time t) {
   }
 }
 
-void Processor::absorb_stolen() {
-  if (stolen_pending_ > 0) {
-    clock_ += stolen_pending_;
-    stolen_total_ += stolen_pending_;
-    stolen_pending_ = 0;
-  }
-}
-
-void Processor::charge(Time d) {
-  PRESTO_CHECK(d >= 0, "negative charge " << d);
-  clock_ += d;
-  absorb_stolen();
-  const Time h = engine_.yield_horizon();
-  if (h != kTimeNever && clock_ >= h) yield();
-}
-
 void Processor::yield() {
   ++yields_;
   engine_.schedule_at(clock_, [this] { mark_resume(); });

@@ -24,12 +24,12 @@
 #include <functional>
 #include <memory>
 
+#include "sim/engine.h"
 #include "sim/fiber.h"
 #include "sim/time.h"
+#include "util/check.h"
 
 namespace presto::sim {
-
-class Engine;
 
 class Processor {
  public:
@@ -67,8 +67,15 @@ class Processor {
   Time now() const { return clock_; }
 
   // Advances the local clock by d plus any pending stolen handler time, then
-  // drives pending events if the clock passed the event horizon.
-  void charge(Time d);
+  // yields if the clock passed its own lane's horizon (Engine::lane_horizon).
+  // Inline: every shared access charges its check cost here.
+  void charge(Time d) {
+    PRESTO_CHECK(d >= 0, "negative charge " << d);
+    clock_ += d;
+    absorb_stolen();
+    const Time h = engine_.lane_horizon(lane_);
+    if (h != kTimeNever && clock_ >= h) yield();
+  }
 
   // Parks until wake(); on return the clock has advanced to the wake time
   // (if later than the current clock).
@@ -104,7 +111,13 @@ class Processor {
   // finished; otherwise just reclaim its stack.
   void teardown();
 
-  void absorb_stolen();
+  void absorb_stolen() {
+    if (stolen_pending_ > 0) {
+      clock_ += stolen_pending_;
+      stolen_total_ += stolen_pending_;
+      stolen_pending_ = 0;
+    }
+  }
 
   Engine& engine_;
   const int id_;

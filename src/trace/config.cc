@@ -1,5 +1,7 @@
 #include "trace/config.h"
 
+#include <string>
+
 #include "util/check.h"
 
 namespace presto::trace {
@@ -51,6 +53,23 @@ TraceConfig TraceConfig::from_spec(const std::string& spec) {
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
+  return cfg;
+}
+
+TraceConfig TraceConfig::for_run(int index) const {
+  PRESTO_CHECK(index >= 0, "negative trace run index " << index);
+  TraceConfig cfg = *this;
+  if (index == 0 || path.empty()) return cfg;
+  const std::string suffix = "." + std::to_string(index);
+  // The extension is the last dot of the file name (not of a directory, and
+  // not a hidden file's leading dot).
+  const std::size_t slash = path.rfind('/');
+  const std::size_t name = slash == std::string::npos ? 0 : slash + 1;
+  const std::size_t dot = path.rfind('.');
+  if (dot == std::string::npos || dot <= name)
+    cfg.path = path + suffix;
+  else
+    cfg.path = path.substr(0, dot) + suffix + path.substr(dot);
   return cfg;
 }
 

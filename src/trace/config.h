@@ -40,6 +40,12 @@ struct TraceConfig {
   // Parses "FILE[:cat1,cat2,...]"; "" yields a disabled config. Aborts on an
   // unknown category name (same strictness as util/cli numeric parsing).
   static TraceConfig from_spec(const std::string& spec);
+
+  // The config of run `index` (0-based, in the caller's run order) of several
+  // Systems traced under one spec: run 0 writes FILE, run i > 0 FILE with
+  // ".i" before its extension (out.json, out.1.json, ...). Named by index,
+  // not by completion, so each file holds the same run at any --jobs.
+  TraceConfig for_run(int index) const;
 };
 
 const char* category_name(Category c);

@@ -68,6 +68,16 @@ TEST(Processor, ChargeAdvancesLocalClock) {
   EXPECT_TRUE(p.finished());
 }
 
+TEST(Processor, NegativeChargeDies) {
+  auto negative = [] {
+    Engine e;
+    auto& p = e.add_processor();
+    p.start([&] { p.charge(-1); });
+    e.run();
+  };
+  EXPECT_DEATH(negative(), "negative charge -1");
+}
+
 TEST(Processor, BlockWakesAtWakeTime) {
   Engine e;
   auto& p = e.add_processor();

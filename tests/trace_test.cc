@@ -206,6 +206,24 @@ TEST(TraceNames, TablesAreTotalAndRoundTrip) {
                 trace::kCatSim);
 }
 
+// Several Systems under one --trace: run i writes FILE with ".i" before the
+// file name's extension; run 0 and an in-memory config keep their path.
+TEST(TraceConfig, ForRunNamesEachRunByIndex) {
+  const auto cfg = trace::TraceConfig::from_spec("out.json:miss");
+  EXPECT_EQ(cfg.for_run(0).path, "out.json");
+  EXPECT_EQ(cfg.for_run(2).path, "out.2.json");
+  EXPECT_EQ(cfg.for_run(2).categories, cfg.categories);
+  EXPECT_TRUE(cfg.for_run(2).enabled);
+  EXPECT_EQ(trace::TraceConfig::from_spec("out").for_run(1).path, "out.1");
+  EXPECT_EQ(trace::TraceConfig::from_spec("d.x/t").for_run(1).path, "d.x/t.1");
+  EXPECT_EQ(trace::TraceConfig::from_spec("d/.t").for_run(3).path, "d/.t.3");
+  EXPECT_EQ(trace::TraceConfig::from_spec(".t.ptrc").for_run(1).path,
+            ".t.1.ptrc");
+  trace::TraceConfig mem;
+  mem.enabled = true;
+  EXPECT_EQ(mem.for_run(4).path, "");
+}
+
 // A tracer built with no engine (the constructor a host-cost probe uses to
 // call hooks directly) takes every hook, including the observer hooks that
 // read a clock and the reads and writes that consume a pending presend; its
