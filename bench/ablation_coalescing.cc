@@ -17,9 +17,11 @@ namespace {
 
 // Synthetic kernel: one producer node writes a large contiguous region each
 // iteration; every other node reads all of it (maximum coalescing benefit).
-stats::Report run_stream(int nodes, std::size_t kilobytes, int iters,
-                         bool coalesce, const trace::TraceConfig& tcfg) {
-  auto machine = runtime::MachineConfig::cm5_blizzard(nodes, 32);
+stats::Report run_stream(const bench::Scale& scale, std::size_t kilobytes,
+                         int iters, bool coalesce,
+                         const trace::TraceConfig& tcfg) {
+  auto machine = runtime::MachineConfig::cm5_blizzard(scale.nodes, 32);
+  scale.apply(machine);
   machine.trace = tcfg;
   runtime::System sys(machine, runtime::ProtocolKind::kPredictive);
   sys.predictive()->set_coalescing(coalesce);
@@ -61,8 +63,8 @@ int main(int argc, char** argv) {
   std::vector<stats::Report> reports;
   int run = 0;
   for (const bool coalesce : {true, false})
-    reports.push_back(run_stream(scale.nodes, kb, iters, coalesce,
-                                 trace_cfg.for_run(run++)));
+    reports.push_back(
+        run_stream(scale, kb, iters, coalesce, trace_cfg.for_run(run++)));
 
   bench::print_results("Ablation: presend bulk coalescing (producer-consumer "
                        "stream, " + std::to_string(kb) + " KiB/iter)",

@@ -182,8 +182,7 @@ SweepPoint run_point(int nodes, std::uint32_t block, const char* pattern,
   p.bytes = sys.recorder().sum(&stats::NodeCounters::bytes_sent);
   p.read_faults = sys.recorder().sum(&stats::NodeCounters::read_faults);
   p.write_faults = sys.recorder().sum(&stats::NodeCounters::write_faults);
-  if (const auto* cc = sys.ccached(); cc != nullptr)
-    p.cc_flushes = cc->cc_stats().flushes;
+  p.cc_flushes = sys.recorder().sum(&stats::NodeCounters::cc_flushes);
   p.presend_blocks =
       sys.recorder().sum(&stats::NodeCounters::presend_blocks_received);
   p.metadata_bytes =

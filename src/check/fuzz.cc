@@ -368,8 +368,8 @@ RunResult run_program(const FuzzProgram& prog, runtime::ProtocolKind kind,
     capture->data = sys.tracer()->build(m.costs, m.net);
     for (int n = 0; n < prog.nodes; ++n)
       capture->counters.push_back(sys.recorder().node(n));
-    if (auto* ccp = sys.ccached(); ccp != nullptr)
-      capture->cc_flushes = ccp->cc_stats().flushes;
+    capture->cc_flushes =
+        sys.recorder().sum(&stats::NodeCounters::cc_flushes);
   }
   return out;
 }

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "check/bughook.h"
-#include "trace/hooks.h"
 #include "util/check.h"
 
 namespace presto::proto {
@@ -14,10 +13,8 @@ CCachedProtocol::CCachedProtocol(sim::Engine& engine, net::Network& net,
     : StacheProtocol(engine, net, space, rec, costs, cluster_nodes),
       words_per_block_(space.block_size() / 8),
       logs_(static_cast<std::size_t>(space.nodes())),
-      flush_wait_(static_cast<std::size_t>(space.nodes()), 0),
       flushq_(static_cast<std::size_t>(space.nodes())),
-      pump_scheduled_(static_cast<std::size_t>(space.nodes()), 0),
-      cc_(static_cast<std::size_t>(space.nodes())) {
+      pump_scheduled_(static_cast<std::size_t>(space.nodes()), 0) {
   PRESTO_CHECK(space.block_size() >= 8,
                "ccached needs 8-byte words; block size " << space.block_size());
   const std::uint32_t bpp = space.page_size() / space.block_size();
@@ -101,13 +98,6 @@ void CCachedProtocol::flush_block(int node, mem::BlockId b) {
   }
   if (count == 0) return;
 
-  auto& p = proc(node);
-  auto& c = rec_.node(node);
-  const sim::Time t0 = p.now();
-  if (trace_ != nullptr) [[unlikely]]
-    trace_->on_miss_start(node, b, /*is_write=*/true, t0);
-  p.charge(costs_.presend_per_block);  // log marshaling
-
   Msg m;
   m.type = MsgType::CcFlush;
   m.src = node;
@@ -115,21 +105,16 @@ void CCachedProtocol::flush_block(int node, mem::BlockId b) {
   m.count = count;
   m.data = reinterpret_cast<const std::byte*>(entries);
   m.data_len = count * static_cast<std::uint32_t>(sizeof(FlushEntry));
-  flush_wait_[static_cast<std::size_t>(node)] = 1;
-  send_from_app(node, space_.home_of_block(b), std::move(m));
-
-  set_waiting(node, b);
-  while (flush_wait_[static_cast<std::size_t>(node)] != 0) p.block();
-  clear_waiting(node);
-  if (trace_ != nullptr) [[unlikely]]
-    trace_->on_miss_end(node, b, /*is_write=*/true, p.now());
-  c.remote_wait += p.now() - t0;
-  CcStats& cs = cc_[static_cast<std::size_t>(node)];
-  ++cs.flushes;
-  cs.flushed_entries += count;
+  expect_ack(node);
+  // costs_.presend_per_block: log marshaling.
+  remote_miss(node, b, /*is_write=*/true, costs_.presend_per_block,
+              space_.home_of_block(b), m, [&] { return !acks_pending(node); });
+  auto& c = rec_.node(node);
+  ++c.cc_flushes;
+  c.cc_flushed_entries += count;
 }
 
-void CCachedProtocol::handle_extra(int self, const Msg& m) {
+void CCachedProtocol::handle(int self, const Msg& m) {
   switch (m.type) {
     case MsgType::CcFlush: {
       FlushOp op;
@@ -140,16 +125,13 @@ void CCachedProtocol::handle_extra(int self, const Msg& m) {
                   m.count * sizeof(FlushEntry));
       flushq_[static_cast<std::size_t>(self)].push_back(std::move(op));
       try_pump(self);
-      break;
+      return;
     }
-    case MsgType::CcFlushAck: {
-      flush_wait_[static_cast<std::size_t>(self)] = 0;
-      if (is_waiting_on(self, m.block)) wake_waiter(self);
-      break;
-    }
+    case MsgType::CcFlushAck:
+      ack(self);
+      return;
     default:
-      StacheProtocol::handle_extra(self, m);
-      break;
+      StacheProtocol::handle(self, m);
   }
 }
 
@@ -209,20 +191,9 @@ void CCachedProtocol::apply_flush(int home, const FlushOp& op) {
       std::memcpy(data + e.word * 8, &v, 8);
     }
   }
-  CcStats& cs = cc_[static_cast<std::size_t>(home)];
-  ++cs.merged_flushes;
-  cs.merged_entries += op.entries.size();
-}
-
-CCachedProtocol::CcStats CCachedProtocol::cc_stats() const {
-  CcStats sum;
-  for (const CcStats& cs : cc_) {
-    sum.flushes += cs.flushes;
-    sum.flushed_entries += cs.flushed_entries;
-    sum.merged_flushes += cs.merged_flushes;
-    sum.merged_entries += cs.merged_entries;
-  }
-  return sum;
+  auto& c = rec_.node(home);
+  ++c.cc_merged_flushes;
+  c.cc_merged_entries += op.entries.size();
 }
 
 std::size_t CCachedProtocol::metadata_bytes() const {

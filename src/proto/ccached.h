@@ -67,20 +67,12 @@ class CCachedProtocol : public StacheProtocol {
   };
   static_assert(sizeof(FlushEntry) == 16);
 
-  struct CcStats {
-    std::uint64_t flushes = 0;         // CcFlush messages sent
-    std::uint64_t flushed_entries = 0; // log entries shipped
-    std::uint64_t merged_flushes = 0;  // flushes folded in at homes
-    std::uint64_t merged_entries = 0;  // entries folded in at homes
-  };
-  // Sums of the per-node counters: flushes are counted on the flushing
-  // node, merges at the home, so concurrently drained lanes never share one.
-  CcStats cc_stats() const;
-
   std::size_t metadata_bytes() const override;
 
  protected:
-  void handle_extra(int self, const Msg& m) override;
+  // CcFlush at the home, CcFlushAck at the flushing node; everything else
+  // goes on to StacheProtocol::handle.
+  void handle(int self, const Msg& m) override;
 
  private:
   // Per-block privatized delta log: one slot per 8-byte word.
@@ -105,7 +97,8 @@ class CCachedProtocol : public StacheProtocol {
     std::vector<FlushEntry> entries;
   };
 
-  // Sends one block's log to its home and waits for the merge ack.
+  // Sends one block's log to its home and waits for the merge ack, a remote
+  // miss in the trace's attribution (MissClass::kMerge).
   void flush_block(int node, mem::BlockId b);
   // Drains the home's flush queue: merges every op whose directory entry is
   // quiescent-Idle, otherwise starts a home write request to quiesce the
@@ -116,10 +109,8 @@ class CCachedProtocol : public StacheProtocol {
 
   const std::uint32_t words_per_block_;
   std::vector<NodeLog> logs_;
-  std::vector<std::uint8_t> flush_wait_;  // app thread parked on a merge ack
   std::vector<std::deque<FlushOp>> flushq_;
   std::vector<std::uint8_t> pump_scheduled_;
-  std::vector<CcStats> cc_;  // per node
 };
 
 }  // namespace presto::proto

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "check/bughook.h"
-#include "trace/hooks.h"
 #include "util/check.h"
 
 namespace presto::proto {
@@ -18,12 +17,10 @@ PredictiveProtocol::PredictiveProtocol(sim::Engine& engine, net::Network& net,
     : StacheProtocol(engine, net, space, rec, costs, cluster_nodes),
       sched_(static_cast<std::size_t>(space.nodes())),
       cur_phase_(static_cast<std::size_t>(space.nodes()), -1),
-      outstanding_(static_cast<std::size_t>(space.nodes()), 0),
       push_batch_(static_cast<std::size_t>(space.nodes())),
       inv_batch_(static_cast<std::size_t>(space.nodes())),
       blocks_per_page_(space.page_size() / space.block_size()),
-      conflict_policy_(conflicts),
-      stats_(static_cast<std::size_t>(space.nodes())) {
+      conflict_policy_(conflicts) {
   PRESTO_CHECK(space.nodes() - 1 <= std::numeric_limits<std::uint16_t>::max(),
                "predictive presend batches address at most 65536 nodes, got "
                    << space.nodes());
@@ -95,7 +92,6 @@ void PredictiveProtocol::record_request(int home, mem::BlockId b,
     ps.recs.push_back(PhaseSched::Rec{b, Entry{}});
     slot = static_cast<std::uint32_t>(ps.recs.size());
     ++ps.gen;
-    ++stats_[static_cast<std::size_t>(home)].entries_recorded;
     ++rec_.node(home).schedule_entries;
   }
   Entry& e = ps.recs[slot - 1].e;
@@ -143,8 +139,7 @@ void PredictiveProtocol::do_presend(int node, int phase) {
   // phase_flush frees it, and it cannot run during this node's presend).
   PhaseSched& ps = *phases[pi];
   auto& p = proc(node);
-  auto& out = outstanding_[static_cast<std::size_t>(node)];
-  PRESTO_CHECK(out == 0, "nested presend on node " << node);
+  PRESTO_CHECK(!acks_pending(node), "nested presend on node " << node);
 
   // Resolve each entry's action, applying the conflict policy.
   auto resolve = [&](const Entry& e) -> std::pair<Kind, int> {
@@ -184,7 +179,7 @@ void PredictiveProtocol::do_presend(int node, int phase) {
     ++idx;
     const auto [kind, writer] = resolve(e);
     if (kind == Kind::kConflict) {
-      ++stats_[static_cast<std::size_t>(node)].conflict_entries;
+      ++rec_.node(node).conflict_entries;
       continue;
     }
     auto& d = dir(node, b);
@@ -198,11 +193,11 @@ void PredictiveProtocol::do_presend(int node, int phase) {
     m.type = kind == Kind::kWrite ? MsgType::RecallX : MsgType::RecallS;
     m.src = node;
     m.block = b;
-    ++out;
-    ++stats_[static_cast<std::size_t>(node)].presend_recalls;
+    expect_ack(node);
+    ++rec_.node(node).presend_recalls;
     send_from_app(node, d.owner, std::move(m));
   }
-  while (out > 0) p.block();
+  await_acks(node);
 
   // ---- Stage 2: coalesced pushes and pre-invalidations ----------------------
   auto& push = push_batch_[static_cast<std::size_t>(node)];
@@ -299,7 +294,7 @@ void PredictiveProtocol::do_presend(int node, int phase) {
       iv = e;
     }
   }
-  while (out > 0) p.block();
+  await_acks(node);
 }
 
 void PredictiveProtocol::send_bulk_runs(int node, int target,
@@ -307,7 +302,7 @@ void PredictiveProtocol::send_bulk_runs(int node, int target,
                                         std::size_t count_items,
                                         bool invalidate) {
   auto& p = proc(node);
-  auto& out = outstanding_[static_cast<std::size_t>(node)];
+  auto& c = rec_.node(node);
   const std::size_t bsz = space_.block_size();
 
   std::size_t i = 0;
@@ -338,14 +333,12 @@ void PredictiveProtocol::send_bulk_runs(int node, int target,
                     space_.block_data(node, items[i].block + k), bsz);
       m.data = buf;
       m.data_len = count * static_cast<std::uint32_t>(bsz);
-      stats_[static_cast<std::size_t>(node)].presend_push_blocks += count;
-      rec_.node(node).presend_blocks_sent += count;
+      c.presend_blocks_sent += count;
     } else {
-      stats_[static_cast<std::size_t>(node)].presend_inv_blocks += count;
+      c.presend_inv_blocks += count;
     }
-    ++stats_[static_cast<std::size_t>(node)].presend_msgs;
-    ++rec_.node(node).presend_msgs;
-    ++out;
+    ++c.presend_msgs;
+    expect_ack(node);
     p.charge(costs_.handler);  // software send cost for the bulk message
     send_from_app(node, target, std::move(m));
     i = j;
@@ -353,39 +346,19 @@ void PredictiveProtocol::send_bulk_runs(int node, int target,
 }
 
 void PredictiveProtocol::handle(int self, const Msg& m) {
-  if (m.type == MsgType::RecallAckData) {
-    auto& d = dir(self, m.block);
-    if (d.presend_recall) {
+  switch (m.type) {
+    case MsgType::RecallAckData: {
+      auto& d = dir(self, m.block);
+      if (!d.presend_recall) break;  // a Stache transaction's recall
       d.presend_recall = false;
-      std::memcpy(space_.block_data(self, m.block), m.data,
-                  space_.block_size());
-      notify_install(self, m.block, m.data,
-                     d.req_write ? mem::Tag::ReadWrite : mem::Tag::ReadOnly);
-      if (d.req_write) {
-        d.owner = -1;
-        d.readers.clear();
-        d.state = DirEntry::S::Idle;
-        space_.set_tag(self, m.block, mem::Tag::ReadWrite);
-      } else {
-        d.readers.set(sharer_id(d.owner));
-        d.owner = -1;
-        d.state = DirEntry::S::Shared;
-        space_.set_tag(self, m.block, mem::Tag::ReadOnly);
-      }
+      take_recalled(self, m, d);
       d.busy = false;
       d.req_node = -1;
-      if (--outstanding_[static_cast<std::size_t>(self)] == 0)
-        proc(self).wake(engine_.now());
+      ack(self);
       return;
     }
-  }
-  StacheProtocol::handle(self, m);
-}
-
-void PredictiveProtocol::handle_extra(int self, const Msg& m) {
-  const std::size_t bsz = space_.block_size();
-  switch (m.type) {
     case MsgType::BulkData: {
+      const std::size_t bsz = space_.block_size();
       for (std::uint32_t k = 0; k < m.count; ++k)
         install_block(self, m.block + k,
                       check::bug_hooks().drop_presend_data
@@ -402,7 +375,7 @@ void PredictiveProtocol::handle_extra(int self, const Msg& m) {
       r.block = m.block;
       r.count = m.count;
       send_from_handler(self, m.src, std::move(r));
-      break;
+      return;
     }
     case MsgType::BulkInv: {
       for (std::uint32_t k = 0; k < m.count; ++k)
@@ -413,18 +386,16 @@ void PredictiveProtocol::handle_extra(int self, const Msg& m) {
       r.block = m.block;
       r.count = m.count;
       send_from_handler(self, m.src, std::move(r));
-      break;
+      return;
     }
     case MsgType::BulkAck:
-    case MsgType::BulkInvAck: {
-      if (--outstanding_[static_cast<std::size_t>(self)] == 0)
-        proc(self).wake(engine_.now());
-      break;
-    }
+    case MsgType::BulkInvAck:
+      ack(self);
+      return;
     default:
-      StacheProtocol::handle_extra(self, m);
       break;
   }
+  StacheProtocol::handle(self, m);
 }
 
 }  // namespace presto::proto

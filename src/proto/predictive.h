@@ -58,29 +58,6 @@ class PredictiveProtocol : public StacheProtocol {
   // Discards this home's schedule for `phase` (schedule rebuild, §3.3).
   void phase_flush(int node, int phase) override;
 
-  // Aggregate protocol statistics (summed over the per-node shards; the
-  // shards keep handler paths lane-local under the windowed engine).
-  struct Stats {
-    std::uint64_t entries_recorded = 0;
-    std::uint64_t conflict_entries = 0;   // entries skipped as conflicts
-    std::uint64_t presend_recalls = 0;
-    std::uint64_t presend_push_blocks = 0;
-    std::uint64_t presend_inv_blocks = 0;
-    std::uint64_t presend_msgs = 0;
-  };
-  Stats stats() const {
-    Stats s;
-    for (const Stats& t : stats_) {
-      s.entries_recorded += t.entries_recorded;
-      s.conflict_entries += t.conflict_entries;
-      s.presend_recalls += t.presend_recalls;
-      s.presend_push_blocks += t.presend_push_blocks;
-      s.presend_inv_blocks += t.presend_inv_blocks;
-      s.presend_msgs += t.presend_msgs;
-    }
-    return s;
-  }
-
   // Number of live schedule entries for (home, phase) — test/bench hook.
   std::size_t schedule_size(int home, int phase) const;
 
@@ -93,8 +70,9 @@ class PredictiveProtocol : public StacheProtocol {
  protected:
   void record_request(int home, mem::BlockId b, int requester,
                       bool is_write) override;
+  // Presend traffic: bulk runs, their acks, and the RecallAckData of a
+  // presend recall; everything else goes on to StacheProtocol::handle.
   void handle(int self, const Msg& m) override;
-  void handle_extra(int self, const Msg& m) override;
 
  private:
   struct Entry {
@@ -154,7 +132,6 @@ class PredictiveProtocol : public StacheProtocol {
   // grows (presend holds one across yields).
   std::vector<std::vector<std::unique_ptr<PhaseSched>>> sched_;
   std::vector<int> cur_phase_;
-  std::vector<int> outstanding_;  // presend acks/recalls awaited per node
   // Per-presending-node staging for stage 2, reused across phases (cleared,
   // not freed) — O(actions), where the old per-(node, target) vector-of-
   // vectors was O(nodes²) even when idle. Items are appended in block order
@@ -167,7 +144,6 @@ class PredictiveProtocol : public StacheProtocol {
   std::uint32_t blocks_per_page_ = 1;
   ConflictPolicy conflict_policy_;
   bool coalescing_ = true;
-  std::vector<Stats> stats_;  // [node]
 };
 
 }  // namespace presto::proto

@@ -1,6 +1,8 @@
 #include "proto/protocol.h"
 
-#include "trace/hooks.h"
+#include <cstdio>
+#include <cstdlib>
+
 #include "util/check.h"
 
 namespace presto::proto {
@@ -41,13 +43,23 @@ Protocol::Protocol(sim::Engine& engine, net::Network& net,
       costs_(costs),
       busy_until_(static_cast<std::size_t>(space.nodes()), 0),
       waiting_(static_cast<std::size_t>(space.nodes()), -1),
+      acks_(static_cast<std::size_t>(space.nodes()), 0),
       scratch_(static_cast<std::size_t>(space.nodes())) {}
 
 std::size_t Protocol::metadata_bytes() const {
   std::size_t n = busy_until_.capacity() * sizeof(busy_until_[0]) +
-                  waiting_.capacity() * sizeof(waiting_[0]);
+                  waiting_.capacity() * sizeof(waiting_[0]) +
+                  acks_.capacity() * sizeof(acks_[0]);
   for (const auto& s : scratch_) n += s.capacity();
   return n;
+}
+
+long Protocol::trace_block() {
+  static const long b = [] {
+    const char* v = std::getenv("PRESTO_STACHE_TRACE");
+    return v == nullptr ? -1L : std::strtol(v, nullptr, 10);
+  }();
+  return b;
 }
 
 void Protocol::install() {
@@ -106,6 +118,11 @@ void Protocol::on_msg(int dst, const std::byte* rec, std::size_t len) {
   Msg m;
   std::memcpy(&m, rec, sizeof(Msg));
   m.data = m.data_len != 0 ? rec + sizeof(Msg) : nullptr;
+  if (static_cast<long>(m.block) == trace_block()) [[unlikely]]
+    std::fprintf(stderr, "T=%lld node %d handles %s from %d (tag=%d)\n",
+                 static_cast<long long>(engine_.now()), dst,
+                 msg_type_name(m.type), m.src,
+                 static_cast<int>(space_.tag(dst, m.block)));
   handle(dst, m);
 }
 

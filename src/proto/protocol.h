@@ -18,6 +18,12 @@
 // (handler occupancy) and the record waits in its channel; handle() reads it
 // there. No std::function, no per-message heap allocation, no payload
 // vector, no second copy.
+//
+// The base class owns the transaction plumbing every protocol shares: the
+// remote-miss window (remote_miss), the per-node ack count (expect_ack /
+// ack / await_acks) and the handler chain (handle). A protocol plugs in by
+// overriding on_fault and handle, taking its own message types and passing
+// the rest to its base class.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +37,7 @@
 #include "sim/engine.h"
 #include "sim/processor.h"
 #include "stats/recorder.h"
-
-namespace presto::trace {
-class Hooks;
-}  // namespace presto::trace
+#include "trace/hooks.h"
 
 namespace presto::proto {
 
@@ -170,7 +173,10 @@ class Protocol : public net::Network::MsgSink, public mem::FaultHandler {
   void on_msg(int dst, const std::byte* rec, std::size_t len) final;
 
  protected:
-  // Message dispatch in engine context; subclasses implement handle().
+  // Message dispatch in engine context: the handler chain. A protocol
+  // overrides handle(), takes its own message types and passes every other
+  // one to its base class's handle(); the chain ends in a handle() that
+  // fails on a type nobody took.
   virtual void handle(int self, const Msg& m) = 0;
 
   // Sends m (header + payload view) through the typed network path;
@@ -191,6 +197,53 @@ class Protocol : public net::Network::MsgSink, public mem::FaultHandler {
 
   sim::Processor& proc(int node) { return engine_.processor(node); }
 
+  bool access_ok(int node, mem::BlockId b, bool is_write) const {
+    const mem::Tag t = space_.tag(node, b);
+    return is_write ? t == mem::Tag::ReadWrite : t != mem::Tag::Invalid;
+  }
+
+  // The remote-miss window, on the faulting node's app thread: charges
+  // `cost` (fault vectoring, or a log's marshaling), sends `req` to `dst`
+  // and parks until done() holds. The whole interval is bracketed as a miss
+  // for the tracer and added to the node's remote_wait, so every protocol's
+  // Σ miss latency == Σ remote_wait holds here.
+  template <typename Done>
+  void remote_miss(int node, mem::BlockId b, bool is_write, sim::Time cost,
+                   int dst, const Msg& req, Done done) {
+    sim::Processor& p = proc(node);
+    const sim::Time t0 = p.now();
+    if (trace_ != nullptr) [[unlikely]]
+      trace_->on_miss_start(node, b, is_write, t0);
+    p.charge(cost);
+    send_from_app(node, dst, req);
+    std::int64_t& waiting = waiting_[static_cast<std::size_t>(node)];
+    waiting = static_cast<std::int64_t>(b);
+    while (!done()) p.block();
+    waiting = -1;
+    if (trace_ != nullptr) [[unlikely]]
+      trace_->on_miss_end(node, b, is_write, p.now());
+    rec_.node(node).remote_wait += p.now() - t0;
+  }
+
+  // The node's ack count: its app thread calls expect_ack() for each
+  // message it awaits a reply to (presend recalls and bulk runs, publishes,
+  // merges), the handler taking a reply calls ack(), and await_acks() parks
+  // the app thread until every reply is in.
+  void expect_ack(int node) { ++acks_[static_cast<std::size_t>(node)]; }
+  void ack(int node) {
+    if (--acks_[static_cast<std::size_t>(node)] == 0) wake_waiter(node);
+  }
+  void await_acks(int node) {
+    while (acks_pending(node)) proc(node).block();
+  }
+  bool acks_pending(int node) const {
+    return acks_[static_cast<std::size_t>(node)] != 0;
+  }
+
+  // PRESTO_STACHE_TRACE=<block id>: the block whose protocol events are
+  // logged to stderr (-1 when unset).
+  static long trace_block();
+
   // Installs a block copy (or permission change) at a node and wakes its
   // processor if it is waiting on this block.
   void install_block(int node, mem::BlockId b, const std::byte* data,
@@ -203,8 +256,6 @@ class Protocol : public net::Network::MsgSink, public mem::FaultHandler {
     if (observer_ != nullptr) [[unlikely]]
       observer_->on_install(node, b, data, tag);
   }
-  void set_waiting(int node, mem::BlockId b) { waiting_[static_cast<std::size_t>(node)] = static_cast<std::int64_t>(b); }
-  void clear_waiting(int node) { waiting_[static_cast<std::size_t>(node)] = -1; }
   bool is_waiting_on(int node, mem::BlockId b) const {
     return waiting_[static_cast<std::size_t>(node)] == static_cast<std::int64_t>(b);
   }
@@ -226,7 +277,8 @@ class Protocol : public net::Network::MsgSink, public mem::FaultHandler {
   void post(int src, int dst, const Msg& m, sim::Time depart);
 
   std::vector<sim::Time> busy_until_;     // protocol dispatch occupancy
-  std::vector<std::int64_t> waiting_;     // block each node's app waits on
+  std::vector<std::int64_t> waiting_;     // block each node's miss waits on
+  std::vector<int> acks_;                 // replies each node's app awaits
   std::vector<std::vector<std::byte>> scratch_;
 };
 

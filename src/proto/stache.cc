@@ -1,29 +1,20 @@
 #include "proto/stache.h"
 
-#include <cstdlib>
+#include <cstdio>
 
 #include "check/bughook.h"
-#include "trace/hooks.h"
 #include "util/check.h"
 
 namespace presto::proto {
 
-namespace {
-// Set PRESTO_STACHE_TRACE=<block id> to log every event on that block.
-long trace_block() {
-  static const long b = [] {
-    const char* v = std::getenv("PRESTO_STACHE_TRACE");
-    return v == nullptr ? -1L : std::strtol(v, nullptr, 10);
-  }();
-  return b;
-}
+// Logs a home-side event on the PRESTO_STACHE_TRACE block (Protocol::on_msg
+// logs every message on it).
 #define STACHE_TRACE(blk, ...)                                        \
   do {                                                                \
     if (static_cast<long>(blk) == trace_block()) [[unlikely]] {       \
       std::fprintf(stderr, __VA_ARGS__);                              \
     }                                                                 \
   } while (0)
-}  // namespace
 
 StacheProtocol::StacheProtocol(sim::Engine& engine, net::Network& net,
                                mem::GlobalSpace& space, stats::Recorder& rec,
@@ -147,31 +138,16 @@ void StacheProtocol::on_fault(int node, mem::BlockId b, bool is_write) {
   const int home = space_.home_of_block(b);
   if (home == node) ++c.local_faults;
 
-  auto& p = proc(node);
-  const sim::Time t0 = p.now();
-  if (trace_ != nullptr) [[unlikely]]
-    trace_->on_miss_start(node, b, is_write, t0);
-  p.charge(costs_.fault);  // software fault vectoring (Blizzard)
-
   Msg m;
   m.type = is_write ? MsgType::GetX : MsgType::GetS;
   m.src = node;
   m.block = b;
-  send_from_app(node, home, std::move(m));
-
-  set_waiting(node, b);
-  while (!access_ok(node, b, is_write)) p.block();
-  clear_waiting(node);
-  if (trace_ != nullptr) [[unlikely]]
-    trace_->on_miss_end(node, b, is_write, p.now());
-  c.remote_wait += p.now() - t0;
+  // costs_.fault: software fault vectoring (Blizzard).
+  remote_miss(node, b, is_write, costs_.fault, home, m,
+              [&] { return access_ok(node, b, is_write); });
 }
 
 void StacheProtocol::handle(int self, const Msg& m) {
-  STACHE_TRACE(m.block, "T=%lld node %d handles %s from %d (tag=%d)\n",
-               static_cast<long long>(engine_.now()), self,
-               msg_type_name(m.type), m.src,
-               static_cast<int>(space_.tag(self, m.block)));
   switch (m.type) {
     case MsgType::GetS:
       start_request(self, m.block, m.src, /*is_write=*/false);
@@ -232,26 +208,11 @@ void StacheProtocol::handle(int self, const Msg& m) {
     case MsgType::RecallAckData: {
       auto& d = dir(self, m.block);
       PRESTO_CHECK(d.busy, "stray RecallAckData at " << self);
-      // Install the owner's data at the home.
-      std::memcpy(space_.block_data(self, m.block), m.data,
-                  space_.block_size());
-      notify_install(self, m.block, m.data,
-                     d.req_write ? mem::Tag::ReadWrite : mem::Tag::ReadOnly);
-      if (d.req_write) {
-        // RecallX path: owner invalidated; grant exclusive to requester.
-        d.owner = -1;
-        d.readers.clear();
-        d.state = DirEntry::S::Idle;
-        space_.set_tag(self, m.block, mem::Tag::ReadWrite);
+      take_recalled(self, m, d);
+      if (d.req_write)
         complete_getx(self, m.block, d.req_node);
-      } else {
-        // RecallS path: owner downgraded to a reader.
-        d.readers.set(sharer_id(d.owner));
-        d.owner = -1;
-        d.state = DirEntry::S::Shared;
-        space_.set_tag(self, m.block, mem::Tag::ReadOnly);
+      else
         complete_gets(self, m.block, d.req_node);
-      }
       break;
     }
 
@@ -263,14 +224,28 @@ void StacheProtocol::handle(int self, const Msg& m) {
       break;
 
     default:
-      handle_extra(self, m);
-      break;
+      PRESTO_FAIL("unhandled message " << msg_type_name(m.type)
+                                       << " at node " << self);
   }
 }
 
-void StacheProtocol::handle_extra(int self, const Msg& m) {
-  PRESTO_FAIL("unhandled message " << msg_type_name(m.type) << " at node "
-                                   << self);
+void StacheProtocol::take_recalled(int home, const Msg& m, DirEntry& d) {
+  std::memcpy(space_.block_data(home, m.block), m.data, space_.block_size());
+  notify_install(home, m.block, m.data,
+                 d.req_write ? mem::Tag::ReadWrite : mem::Tag::ReadOnly);
+  if (d.req_write) {
+    // RecallX: the owner invalidated; the home holds the sole copy.
+    d.owner = -1;
+    d.readers.clear();
+    d.state = DirEntry::S::Idle;
+    space_.set_tag(home, m.block, mem::Tag::ReadWrite);
+  } else {
+    // RecallS: the owner downgraded to a reader.
+    d.readers.set(sharer_id(d.owner));
+    d.owner = -1;
+    d.state = DirEntry::S::Shared;
+    space_.set_tag(home, m.block, mem::Tag::ReadOnly);
+  }
 }
 
 void StacheProtocol::start_request(int home, mem::BlockId b, int requester,
@@ -376,8 +351,7 @@ void StacheProtocol::complete_gets(int home, mem::BlockId b, int requester) {
     if (space_.tag(home, b) == mem::Tag::ReadWrite)
       space_.set_tag(home, b, mem::Tag::ReadOnly);
   }
-  grant(home, b, requester,
-        requester == home ? mem::Tag::ReadOnly : mem::Tag::ReadOnly);
+  grant(home, b, requester, mem::Tag::ReadOnly);
   finish_transaction(home, b);
 }
 

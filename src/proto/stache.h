@@ -98,6 +98,8 @@ class StacheProtocol : public Protocol {
   std::size_t metadata_bytes() const override;
 
  protected:
+  // Stache's message types; any other type fails here, at the end of the
+  // handler chain of every protocol built on Stache.
   void handle(int self, const Msg& m) override;
 
   // Home-side transaction engine. A directory probe is the protocol's
@@ -111,6 +113,10 @@ class StacheProtocol : public Protocol {
   void complete_getx(int home, mem::BlockId b, int requester);
   void finish_transaction(int home, mem::BlockId b);
   void grant(int home, mem::BlockId b, int requester, mem::Tag tag);
+  // Home side of a RecallAckData for the recall in flight on d: installs
+  // the owner's bytes at the home and leaves the entry Idle (after a
+  // RecallX) or Shared with the old owner as a reader (after a RecallS).
+  void take_recalled(int home, const Msg& m, DirEntry& d);
 
   // Pending-request spill arena of `home` (whose directory holds d):
   // fixed-size nodes recycled via a freelist.
@@ -126,14 +132,6 @@ class StacheProtocol : public Protocol {
     (void)b;
     (void)requester;
     (void)is_write;
-  }
-
-  // Hook for the predictive protocol's bulk/presend messages.
-  virtual void handle_extra(int self, const Msg& m);
-
-  bool access_ok(int node, mem::BlockId b, bool is_write) const {
-    const mem::Tag t = space_.tag(node, b);
-    return is_write ? t == mem::Tag::ReadWrite : t != mem::Tag::Invalid;
   }
 
   // ---- Cluster directory (two-level sharer tracking) -----------------------

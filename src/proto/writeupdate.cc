@@ -1,6 +1,5 @@
 #include "proto/writeupdate.h"
 
-#include "trace/hooks.h"
 #include "util/check.h"
 
 namespace presto::proto {
@@ -13,9 +12,7 @@ WriteUpdateProtocol::WriteUpdateProtocol(sim::Engine& engine,
     : Protocol(engine, net, space, rec, costs),
       readers_(static_cast<std::size_t>(space.nodes())),
       dirty_(static_cast<std::size_t>(space.nodes())),
-      outstanding_(static_cast<std::size_t>(space.nodes()), 0),
-      fwd_(static_cast<std::size_t>(space.nodes())),
-      stats_(static_cast<std::size_t>(space.nodes())) {
+      fwd_(static_cast<std::size_t>(space.nodes())) {
   const std::uint32_t bpp = space.page_size() / space.block_size();
   for (auto& t : readers_) t.configure(bpp);
   for (auto& t : dirty_) t.configure(bpp);
@@ -69,14 +66,13 @@ std::size_t WriteUpdateProtocol::metadata_bytes() const {
 void WriteUpdateProtocol::on_fault(int node, mem::BlockId b, bool is_write) {
   auto& c = rec_.node(node);
   const int home = space_.home_of_block(b);
-  auto& p = proc(node);
 
   if (is_write) {
     ++c.write_faults;
     dirty_[static_cast<std::size_t>(node)].at(b) = 1;
     if (space_.tag(node, b) == mem::Tag::ReadOnly) {
       // Upgrade in place: no invalidations in an update protocol.
-      p.charge(costs_.fault);
+      proc(node).charge(costs_.fault);
       space_.set_tag(node, b, mem::Tag::ReadWrite);
       return;
     }
@@ -86,26 +82,14 @@ void WriteUpdateProtocol::on_fault(int node, mem::BlockId b, bool is_write) {
   }
   if (home == node) ++c.local_faults;
 
-  const sim::Time t0 = p.now();
-  if (trace_ != nullptr) [[unlikely]]
-    trace_->on_miss_start(node, b, is_write, t0);
-  p.charge(costs_.fault);
   Msg m;
   m.type = MsgType::WuGetS;
   m.src = node;
   m.block = b;
   m.tag = static_cast<std::uint8_t>(is_write ? mem::Tag::ReadWrite
                                              : mem::Tag::ReadOnly);
-  send_from_app(node, home, std::move(m));
-
-  set_waiting(node, b);
-  while (is_write ? space_.tag(node, b) != mem::Tag::ReadWrite
-                  : space_.tag(node, b) == mem::Tag::Invalid)
-    p.block();
-  clear_waiting(node);
-  if (trace_ != nullptr) [[unlikely]]
-    trace_->on_miss_end(node, b, is_write, p.now());
-  c.remote_wait += p.now() - t0;
+  remote_miss(node, b, is_write, costs_.fault, home, m,
+              [&] { return access_ok(node, b, is_write); });
 }
 
 void WriteUpdateProtocol::send_update_run(int src, int dst, mem::BlockId b0,
@@ -126,8 +110,9 @@ void WriteUpdateProtocol::send_update_run(int src, int dst, mem::BlockId b0,
     std::memcpy(buf + k * bsz, space_.block_data(src, b0 + k), bsz);
   m.data = buf;
   m.data_len = count * static_cast<std::uint32_t>(bsz);
-  ++stats_[static_cast<std::size_t>(src)].update_msgs;
-  stats_[static_cast<std::size_t>(src)].update_blocks += count;
+  auto& c = rec_.node(src);
+  ++c.wu_update_msgs;
+  c.wu_update_blocks += count;
   if (from_app)
     send_from_app(src, dst, std::move(m));
   else
@@ -160,9 +145,8 @@ int WriteUpdateProtocol::forward_run(int home, mem::BlockId b0,
 void WriteUpdateProtocol::wu_publish(int node, mem::Addr base,
                                      std::size_t len) {
   auto& p = proc(node);
-  auto& out = outstanding_[static_cast<std::size_t>(node)];
-  PRESTO_CHECK(out == 0, "nested publish on node " << node);
-  ++stats_[static_cast<std::size_t>(node)].publishes;
+  PRESTO_CHECK(!acks_pending(node), "nested publish on node " << node);
+  ++rec_.node(node).wu_publishes;
 
   const mem::BlockId first = space_.block_of(base);
   const mem::BlockId last = space_.block_of(base + len - 1);
@@ -186,7 +170,7 @@ void WriteUpdateProtocol::wu_publish(int node, mem::Addr base,
         p.charge(costs_.presend_per_block);
         send_update_run(node, r, b, static_cast<std::uint32_t>(e - b),
                         /*token=*/0, /*from_app=*/true);
-        ++out;
+        expect_ack(node);
       });
     }
     b = e;
@@ -213,11 +197,11 @@ void WriteUpdateProtocol::wu_publish(int node, mem::Addr base,
     // with token 0.
     send_update_run(node, home, b, static_cast<std::uint32_t>(e - b),
                     /*token=*/0, /*from_app=*/true);
-    ++out;
+    expect_ack(node);
     b = e;
   }
 
-  while (out > 0) p.block();
+  await_acks(node);
 }
 
 void WriteUpdateProtocol::handle(int self, const Msg& m) {
@@ -291,9 +275,7 @@ void WriteUpdateProtocol::handle(int self, const Msg& m) {
 
     case MsgType::UpdateAck: {
       if (m.token == 0) {
-        // Final acknowledgement to a publisher.
-        if (--outstanding_[static_cast<std::size_t>(self)] == 0)
-          proc(self).wake(engine_.now());
+        ack(self);  // final acknowledgement to a publisher
       } else {
         // Reader ack for a forwarded run; self is the home.
         auto& fs = forward_state(self, m.token);

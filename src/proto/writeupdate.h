@@ -43,22 +43,6 @@ class WriteUpdateProtocol : public Protocol {
   // consume the values.
   void wu_publish(int node, mem::Addr base, std::size_t len);
 
-  // Summed over the per-node shards (lane-local under the windowed engine).
-  struct Stats {
-    std::uint64_t publishes = 0;
-    std::uint64_t update_blocks = 0;
-    std::uint64_t update_msgs = 0;
-  };
-  Stats stats() const {
-    Stats s;
-    for (const Stats& t : stats_) {
-      s.publishes += t.publishes;
-      s.update_blocks += t.update_blocks;
-      s.update_msgs += t.update_msgs;
-    }
-    return s;
-  }
-
   std::size_t metadata_bytes() const override;
 
  protected:
@@ -105,13 +89,11 @@ class WriteUpdateProtocol : public Protocol {
   std::vector<util::BlockTable<util::NodeSet>> readers_;
   // dirty_[node].at(block) — non-home blocks written locally since startup.
   std::vector<util::BlockTable<std::uint8_t>> dirty_;
-  std::vector<int> outstanding_;  // publish acks awaited per node
   struct TokenPool {
     std::vector<ForwardState> pool;
     std::uint32_t free_head = kNoSlot;
   };
   std::vector<TokenPool> fwd_;  // [home]
-  std::vector<Stats> stats_;  // [node]
 };
 
 }  // namespace presto::proto

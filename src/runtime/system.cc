@@ -6,6 +6,7 @@
 #include <cstring>
 #include <thread>
 
+#include "proto/ccached.h"
 #include "sim/parallel.h"
 #include "trace/file.h"
 #include "util/check.h"
@@ -151,12 +152,6 @@ proto::WriteUpdateProtocol* System::writeupdate() {
              : nullptr;
 }
 
-proto::CCachedProtocol* System::ccached() {
-  return kind_ == ProtocolKind::kCCached
-             ? static_cast<proto::CCachedProtocol*>(protocol_.get())
-             : nullptr;
-}
-
 void System::run(const std::function<void(NodeCtx&)>& body) {
   PRESTO_CHECK(!ran_, "System::run is single-shot");
   ran_ = true;
@@ -264,12 +259,8 @@ stats::Report System::report(std::string label) const {
   r.presend_blocks = rec_.sum(&stats::NodeCounters::presend_blocks_sent);
   r.dir_probes = rec_.sum(&stats::NodeCounters::dir_probes);
   r.sched_lookups = rec_.sum(&stats::NodeCounters::sched_lookups);
-  if (kind_ == ProtocolKind::kCCached) {
-    const auto& cs =
-        static_cast<const proto::CCachedProtocol*>(protocol_.get())->cc_stats();
-    r.cc_flushes = cs.flushes;
-    r.cc_entries = cs.flushed_entries;
-  }
+  r.cc_flushes = rec_.sum(&stats::NodeCounters::cc_flushes);
+  r.cc_entries = rec_.sum(&stats::NodeCounters::cc_flushed_entries);
   r.host = rec_.host();
   if (tracer_ != nullptr) {
     const trace::Summary& s = tracer_->summary();

@@ -10,7 +10,6 @@
 #include "check/oracle.h"
 #include "mem/global_space.h"
 #include "net/network.h"
-#include "proto/ccached.h"
 #include "proto/predictive.h"
 #include "proto/stache.h"
 #include "proto/writeupdate.h"
@@ -44,7 +43,6 @@ class System {
   // Null unless the corresponding protocol kind is active.
   proto::PredictiveProtocol* predictive();
   proto::WriteUpdateProtocol* writeupdate();
-  proto::CCachedProtocol* ccached();
 
   // Attaches the coherence invariant oracle (check/oracle.h) to this system's
   // space and protocol, below an attached tracer. Attached automatically at

@@ -12,7 +12,10 @@
 
 namespace presto::stats {
 
-struct NodeCounters {
+// Cache-line aligned: nodes drained by different workers never share a
+// line, and the size stays a power of two (256 B) so Recorder::node(id) is
+// one shift on every shared access.
+struct alignas(64) NodeCounters {
   // Time breakdown (simulated ns).
   sim::Time remote_wait = 0;   // stalls on shared-memory faults
   sim::Time presend = 0;       // time in the predictive presend directive
@@ -36,6 +39,20 @@ struct NodeCounters {
   std::uint64_t presend_blocks_received = 0;
   std::uint64_t presend_msgs = 0;
   std::uint64_t schedule_entries = 0;  // live entries recorded at this home
+  std::uint64_t conflict_entries = 0;  // entries presend skipped as conflicts
+  std::uint64_t presend_recalls = 0;   // dirty blocks recalled by presend
+  std::uint64_t presend_inv_blocks = 0;  // blocks bulk pre-invalidated
+
+  // Write-update protocol (counted at the sender).
+  std::uint64_t wu_publishes = 0;
+  std::uint64_t wu_update_msgs = 0;
+  std::uint64_t wu_update_blocks = 0;
+
+  // CCached protocol: flushes at the flushing node, merges at the home.
+  std::uint64_t cc_flushes = 0;          // CcFlush messages sent
+  std::uint64_t cc_flushed_entries = 0;  // log entries shipped
+  std::uint64_t cc_merged_flushes = 0;   // flushes folded in at this home
+  std::uint64_t cc_merged_entries = 0;   // entries folded in at this home
 
   // Metadata access counts (deterministic, but layout-dependent: they count
   // protocol metadata probes, not simulated events, so golden pins exclude

@@ -42,8 +42,9 @@ class Hooks {
   virtual void on_lock_release(int node, std::uint64_t lock_block,
                                sim::Time t) = 0;
 
-  // Remote-miss window (proto/stache.cc, proto/writeupdate.cc on_fault).
-  // t0/t1 bracket exactly the interval the protocol adds to remote_wait.
+  // Remote-miss window (proto::Protocol::remote_miss, which every
+  // protocol's misses and ccached's merge round trips run through). t0/t1
+  // bracket exactly the interval the protocol adds to remote_wait.
   virtual void on_miss_start(int node, std::uint64_t block, bool is_write,
                              sim::Time t0) = 0;
   virtual void on_miss_end(int node, std::uint64_t block, bool is_write,

@@ -16,16 +16,22 @@ namespace presto::util {
 
 // Lightweight stream-based message builder so call sites can write
 //   PRESTO_CHECK(x < n, "index " << x << " out of range " << n);
-#define PRESTO_CHECK(cond, ...)                                              \
+// The failing branch ends in the [[noreturn]] call itself, so the compiler
+// sees that a `default: PRESTO_FAIL(...)` cannot fall through.
+#define PRESTO_CHECK_FAIL_(cond_text, ...)                                   \
   do {                                                                       \
-    if (!(cond)) [[unlikely]] {                                              \
-      std::ostringstream presto_check_os_;                                   \
-      presto_check_os_ << __VA_ARGS__;                                       \
-      ::presto::util::check_fail(#cond, __FILE__, __LINE__,                  \
-                                 presto_check_os_.str());                    \
-    }                                                                        \
+    std::ostringstream presto_check_os_;                                     \
+    presto_check_os_ << __VA_ARGS__;                                         \
+    ::presto::util::check_fail(cond_text, __FILE__, __LINE__,                \
+                               presto_check_os_.str());                      \
   } while (0)
 
-#define PRESTO_FAIL(...) PRESTO_CHECK(false, __VA_ARGS__)
+#define PRESTO_CHECK(cond, ...)                                              \
+  do {                                                                       \
+    if (!(cond)) [[unlikely]]                                                \
+      PRESTO_CHECK_FAIL_(#cond, __VA_ARGS__);                                \
+  } while (0)
+
+#define PRESTO_FAIL(...) PRESTO_CHECK_FAIL_("false", __VA_ARGS__)
 
 }  // namespace presto::util

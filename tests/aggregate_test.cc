@@ -118,20 +118,24 @@ TEST(TiledAggregate, HaloExchangeWorksAcrossTileBoundaries) {
     c.barrier();
     // Every node reads a full halo ring around its tile.
     for (std::size_t i = t.row_lo; i < t.row_hi; ++i) {
-      if (t.col_lo > 0)
+      if (t.col_lo > 0) {
         EXPECT_EQ(agg.get(c, i, t.col_lo - 1),
                   static_cast<int>(100 * i + t.col_lo - 1));
-      if (t.col_hi < 8)
+      }
+      if (t.col_hi < 8) {
         EXPECT_EQ(agg.get(c, i, t.col_hi),
                   static_cast<int>(100 * i + t.col_hi));
+      }
     }
     for (std::size_t j = t.col_lo; j < t.col_hi; ++j) {
-      if (t.row_lo > 0)
+      if (t.row_lo > 0) {
         EXPECT_EQ(agg.get(c, t.row_lo - 1, j),
                   static_cast<int>(100 * (t.row_lo - 1) + j));
-      if (t.row_hi < 8)
+      }
+      if (t.row_hi < 8) {
         EXPECT_EQ(agg.get(c, t.row_hi, j),
                   static_cast<int>(100 * t.row_hi + j));
+      }
     }
   });
   // Cross-tile reads faulted; the counts are per-node nonzero.

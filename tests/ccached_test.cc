@@ -161,13 +161,15 @@ TEST(CCachedProtocol, FlushMergesEveryDeltaExactlyOnce) {
       EXPECT_EQ(c.read<std::int64_t>(a + 56), 10 * (1 + 2 + 3 + 4));
     }
   });
-  const auto& cs = sys.ccached()->cc_stats();
+  const stats::Recorder& rec = sys.recorder();
   // The 64-byte region spans two 32-byte blocks; each node touched one word
   // in each, so every node flushes two one-entry logs.
-  EXPECT_EQ(cs.flushes, 8u);
-  EXPECT_EQ(cs.flushed_entries, 8u);
-  EXPECT_EQ(cs.merged_flushes, cs.flushes);
-  EXPECT_EQ(cs.merged_entries, cs.flushed_entries);
+  EXPECT_EQ(rec.sum(&stats::NodeCounters::cc_flushes), 8u);
+  EXPECT_EQ(rec.sum(&stats::NodeCounters::cc_flushed_entries), 8u);
+  EXPECT_EQ(rec.sum(&stats::NodeCounters::cc_merged_flushes),
+            rec.sum(&stats::NodeCounters::cc_flushes));
+  EXPECT_EQ(rec.sum(&stats::NodeCounters::cc_merged_entries),
+            rec.sum(&stats::NodeCounters::cc_flushed_entries));
 }
 
 TEST(CCachedProtocol, FaultSelfFlushesPendingDeltas) {
@@ -186,8 +188,8 @@ TEST(CCachedProtocol, FaultSelfFlushesPendingDeltas) {
     }
     c.barrier();
   });
-  EXPECT_EQ(sys.ccached()->cc_stats().flushes, 1u);
-  EXPECT_EQ(sys.ccached()->cc_stats().merged_entries, 1u);
+  EXPECT_EQ(sys.recorder().sum(&stats::NodeCounters::cc_flushes), 1u);
+  EXPECT_EQ(sys.recorder().sum(&stats::NodeCounters::cc_merged_entries), 1u);
 }
 
 TEST(CCachedProtocol, EmptyFlushIsFree) {
@@ -201,7 +203,7 @@ TEST(CCachedProtocol, EmptyFlushIsFree) {
     c.cc_flush();
     c.barrier();
   });
-  EXPECT_EQ(sys.ccached()->cc_stats().flushes, 0u);
+  EXPECT_EQ(sys.recorder().sum(&stats::NodeCounters::cc_flushes), 0u);
 }
 
 TEST(CCachedProtocol, RejectsUpdatesOutsideCommutativeRegions) {

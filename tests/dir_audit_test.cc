@@ -142,8 +142,9 @@ TEST_P(DirAudit, FlatLayoutMatchesReferenceRebuild) {
     const RefEntry ref = rebuild_reference(sys, h, b);
     EXPECT_EQ(d.state, ref.state) << "block " << b;
     EXPECT_TRUE(d.readers == ref.readers) << "block " << b;
-    if (ref.state == proto::StacheProtocol::DirEntry::S::Excl)
+    if (ref.state == proto::StacheProtocol::DirEntry::S::Excl) {
       EXPECT_EQ(d.owner, ref.owner) << "block " << b;
+    }
     seen[{h, b}] = ref;
   });
 
@@ -154,10 +155,11 @@ TEST_P(DirAudit, FlatLayoutMatchesReferenceRebuild) {
     const RefEntry ref = rebuild_reference(sys, h, b);
     const bool nontrivial =
         ref.state != proto::StacheProtocol::DirEntry::S::Idle;
-    if (nontrivial)
+    if (nontrivial) {
       EXPECT_TRUE(seen.count({h, b}))
           << "tags imply directory state for block " << b
           << " but no flat entry is materialized";
+    }
   }
 }
 

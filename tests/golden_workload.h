@@ -55,11 +55,9 @@ inline WorkloadResult collect_result(runtime::System& sys) {
   res.events = sys.engine().events_executed();
   res.exec = sys.exec_time();
   res.host = sys.recorder().host();
-  if (auto* cc = sys.ccached(); cc != nullptr) {
-    const auto cs = cc->cc_stats();
-    res.cc_flushes = cs.flushes;
-    res.cc_entries = cs.flushed_entries;
-  }
+  res.cc_flushes = sys.recorder().sum(&stats::NodeCounters::cc_flushes);
+  res.cc_entries =
+      sys.recorder().sum(&stats::NodeCounters::cc_flushed_entries);
   std::uint64_t h = trace::kFnvBasis;
   for (int n = 0; n < cfg.nodes; ++n) {
     for (std::uint64_t b = 0; b < space.num_blocks(); ++b) {

@@ -30,9 +30,10 @@ TEST_P(LockContention, MutualExclusionAndProgress) {
       lock.release(c);
     }
     c.barrier();
-    if (c.id() == 0)
+    if (c.id() == 0) {
       EXPECT_EQ(c.read<std::uint64_t>(counter),
                 static_cast<std::uint64_t>(nodes * rounds));
+    }
   });
 }
 

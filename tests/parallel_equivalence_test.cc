@@ -82,6 +82,16 @@ void expect_equal(const stats::NodeCounters& a, const stats::NodeCounters& b,
   EXPECT_EQ(a.presend_blocks_received, b.presend_blocks_received);
   EXPECT_EQ(a.presend_msgs, b.presend_msgs);
   EXPECT_EQ(a.schedule_entries, b.schedule_entries);
+  EXPECT_EQ(a.conflict_entries, b.conflict_entries);
+  EXPECT_EQ(a.presend_recalls, b.presend_recalls);
+  EXPECT_EQ(a.presend_inv_blocks, b.presend_inv_blocks);
+  EXPECT_EQ(a.wu_publishes, b.wu_publishes);
+  EXPECT_EQ(a.wu_update_msgs, b.wu_update_msgs);
+  EXPECT_EQ(a.wu_update_blocks, b.wu_update_blocks);
+  EXPECT_EQ(a.cc_flushes, b.cc_flushes);
+  EXPECT_EQ(a.cc_flushed_entries, b.cc_flushed_entries);
+  EXPECT_EQ(a.cc_merged_flushes, b.cc_merged_flushes);
+  EXPECT_EQ(a.cc_merged_entries, b.cc_merged_entries);
 }
 
 void expect_equal(const WorkloadResult& a, const WorkloadResult& b) {

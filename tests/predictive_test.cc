@@ -34,9 +34,10 @@ TEST(Predictive, ConsumerReadsBecomeLocalHitsAfterFirstIteration) {
         for (int b = 0; b < 4; ++b) c.write<int>(a + b * 32, it * 10 + b);
       c.barrier();
       c.phase(8);
-      if (c.id() != 0)
+      if (c.id() != 0) {
         for (int b = 0; b < 4; ++b)
           EXPECT_EQ(c.read<int>(a + b * 32), it * 10 + b);
+      }
       c.barrier();
       if (c.id() == 1)
         faults_per_iter.push_back(c.counters().read_faults);
@@ -59,7 +60,7 @@ TEST(Predictive, HomeWritesStopFaultingAfterPreinvalidation) {
       if (c.id() == 0) c.write<int>(a, it);  // invalidates consumer copies
       c.barrier();
       c.phase(1);
-      if (c.id() != 0) EXPECT_EQ(c.read<int>(a), it);
+      if (c.id() != 0) { EXPECT_EQ(c.read<int>(a), it); }
       c.barrier();
       if (c.id() == 0 && it == 2) early = c.counters().write_faults;
       if (c.id() == 0 && it == 5) late = c.counters().write_faults;
@@ -99,9 +100,9 @@ TEST(Predictive, FlushDiscardsSchedule) {
     c.phase(1);
     if (c.id() == 1) c.read<int>(a);
     c.barrier();
-    if (c.id() == 0) EXPECT_EQ(pred(sys).schedule_size(0, 1), 1u);
+    if (c.id() == 0) { EXPECT_EQ(pred(sys).schedule_size(0, 1), 1u); }
     c.flush_phase(1);
-    if (c.id() == 0) EXPECT_EQ(pred(sys).schedule_size(0, 1), 0u);
+    if (c.id() == 0) { EXPECT_EQ(pred(sys).schedule_size(0, 1), 0u); }
     c.barrier();
   });
 }
@@ -119,8 +120,8 @@ TEST(Predictive, ConflictBlocksAreSkipped) {
       c.barrier();
     }
   });
-  EXPECT_GT(pred(sys).stats().conflict_entries, 0u);
-  EXPECT_EQ(pred(sys).stats().presend_push_blocks, 0u);
+  EXPECT_GT(sys.recorder().sum(&stats::NodeCounters::conflict_entries), 0u);
+  EXPECT_EQ(sys.recorder().sum(&stats::NodeCounters::presend_blocks_sent), 0u);
 }
 
 TEST(Predictive, AnticipatePushesFirstStableStateForConflicts) {
@@ -136,7 +137,7 @@ TEST(Predictive, AnticipatePushesFirstStableStateForConflicts) {
       c.barrier();
     }
   });
-  EXPECT_GT(pred(sys).stats().presend_push_blocks, 0u);
+  EXPECT_GT(sys.recorder().sum(&stats::NodeCounters::presend_blocks_sent), 0u);
 }
 
 TEST(Predictive, MigratoryReadThenWriteDerivesWrite) {
@@ -157,7 +158,7 @@ TEST(Predictive, MigratoryReadThenWriteDerivesWrite) {
       // The home reads it back in another phase, forcing a downgrade so
       // iteration it+1 would fault again without presend.
       c.phase(10);
-      if (c.id() == 0) EXPECT_EQ(c.read<int>(a), it + 1);
+      if (c.id() == 0) { EXPECT_EQ(c.read<int>(a), it + 1); }
       c.barrier();
       if (c.id() == 1 && it == 2)
         f2 = c.counters().read_faults + c.counters().write_faults;
@@ -182,15 +183,16 @@ TEST(Predictive, ContiguousBlocksCoalesceIntoOneBulkMessage) {
     if (c.id() == 0)
       for (int b = 0; b < 16; ++b) c.write<int>(a + b * 32, b);
     c.barrier();
-    const auto msgs_before = pred(sys).stats().presend_msgs;
+    const auto msgs_before = c.counters().presend_msgs;
     c.phase(2);
     if (c.id() == 0) {
       // All 16 blocks travelled in a single bulk message.
-      EXPECT_EQ(pred(sys).stats().presend_msgs, msgs_before + 1);
+      EXPECT_EQ(c.counters().presend_msgs, msgs_before + 1);
     }
     c.barrier();
   });
-  EXPECT_GE(pred(sys).stats().presend_push_blocks, 16u);
+  EXPECT_GE(sys.recorder().sum(&stats::NodeCounters::presend_blocks_sent),
+            16u);
 }
 
 TEST(Predictive, PresendTimeIsAccountedSeparately) {
@@ -234,9 +236,10 @@ TEST(WriteUpdate, PublishKeepsReaderCopiesFresh) {
         for (int b = 0; b < 4; ++b) c.write<int>(a + b * 32, it * 10 + b);
       wu->wu_publish(c.id(), 0, c.space().size_bytes());
       c.barrier();
-      if (c.id() != 0)
+      if (c.id() != 0) {
         for (int b = 0; b < 4; ++b)
           EXPECT_EQ(c.read<int>(a + b * 32), it * 10 + b);
+      }
       c.barrier();
       if (c.id() == 1) faults.push_back(c.counters().read_faults);
     }
@@ -259,8 +262,8 @@ TEST(WriteUpdate, RemoteWriterPublishesThroughHome) {
     wu->wu_publish(c.id(), 0, c.space().size_bytes());
     c.barrier();
     // Home and the recorded reader both observe the new value locally.
-    if (c.id() == 0) EXPECT_EQ(c.read<int>(a), 77);
-    if (c.id() == 2) EXPECT_EQ(c.read<int>(a), 77);
+    if (c.id() == 0) { EXPECT_EQ(c.read<int>(a), 77); }
+    if (c.id() == 2) { EXPECT_EQ(c.read<int>(a), 77); }
   });
   // Reader 2 never faulted again after its first read.
   EXPECT_EQ(sys.recorder().node(2).read_faults, 1u);

@@ -24,7 +24,7 @@ TEST(Stache, RemoteReadFetchesHomeValue) {
   sys.run([&](NodeCtx& c) {
     if (c.id() == 0) c.write<int>(a, 1234);
     c.barrier();
-    if (c.id() == 1) EXPECT_EQ(c.read<int>(a), 1234);
+    if (c.id() == 1) { EXPECT_EQ(c.read<int>(a), 1234); }
   });
   EXPECT_EQ(sys.recorder().node(1).read_faults, 1u);
   EXPECT_EQ(sys.recorder().node(0).read_faults, 0u);
@@ -38,13 +38,13 @@ TEST(Stache, WriteInvalidatesReaders) {
     if (c.id() == 0) c.write<int>(a, 1);
     c.barrier();
     // Nodes 1 and 2 cache the block.
-    if (c.id() != 0) EXPECT_EQ(c.read<int>(a), 1);
+    if (c.id() != 0) { EXPECT_EQ(c.read<int>(a), 1); }
     c.barrier();
     // Home writes again: readers must be invalidated...
     if (c.id() == 0) c.write<int>(a, 2);
     c.barrier();
     // ...so they re-fetch and see the new value.
-    if (c.id() != 0) EXPECT_EQ(c.read<int>(a), 2);
+    if (c.id() != 0) { EXPECT_EQ(c.read<int>(a), 2); }
   });
   // Each reader faulted twice (initial read + re-fetch after invalidation).
   EXPECT_EQ(sys.recorder().node(1).read_faults, 2u);
@@ -62,7 +62,7 @@ TEST(Stache, ProducerConsumerThroughThirdPartyHome) {
     for (int it = 0; it < 4; ++it) {
       if (c.id() == 1) c.write<int>(a, 100 + it);  // producer
       c.barrier();
-      if (c.id() == 2) EXPECT_EQ(c.read<int>(a), 100 + it);  // consumer
+      if (c.id() == 2) { EXPECT_EQ(c.read<int>(a), 100 + it); }  // consumer
       c.barrier();
     }
   });
@@ -78,9 +78,13 @@ TEST(Stache, RecallFlowsDirtyDataThroughHome) {
   sys.run([&](NodeCtx& c) {
     if (c.id() == 1) c.write<double>(a + 8, 2.75);  // node 1 becomes owner
     c.barrier();
-    if (c.id() == 2) EXPECT_EQ(c.read<double>(a + 8), 2.75);  // recall path
+    if (c.id() == 2) {
+      EXPECT_EQ(c.read<double>(a + 8), 2.75);  // recall path
+    }
     c.barrier();
-    if (c.id() == 0) EXPECT_EQ(c.read<double>(a + 8), 2.75);  // home re-read
+    if (c.id() == 0) {
+      EXPECT_EQ(c.read<double>(a + 8), 2.75);  // home re-read
+    }
   });
 }
 
@@ -97,7 +101,7 @@ TEST(Stache, MigratoryOwnershipMoves) {
       }
       c.barrier();
     }
-    if (c.id() == 0) EXPECT_EQ(c.read<int>(a), 8);
+    if (c.id() == 0) { EXPECT_EQ(c.read<int>(a), 8); }
   });
 }
 
@@ -125,7 +129,7 @@ TEST(Stache, UpgradeFromSoleReader) {
       c.write<int>(a, 5);  // sole-reader upgrade
     }
     c.barrier();
-    if (c.id() == 0) EXPECT_EQ(c.read<int>(a), 5);
+    if (c.id() == 0) { EXPECT_EQ(c.read<int>(a), 5); }
   });
 }
 
@@ -137,8 +141,9 @@ TEST(Stache, RemoteMissLatencyIsCm5Scale) {
     if (c.id() == 1)
       for (int i = 0; i < 16; ++i) c.write<int>(a + i * 32, i);
     c.barrier();
-    if (c.id() == 2)
+    if (c.id() == 2) {
       for (int i = 0; i < 16; ++i) EXPECT_EQ(c.read<int>(a + i * 32), i);
+    }
   });
   const auto& c2 = sys.recorder().node(2);
   ASSERT_EQ(c2.read_faults, 16u);

@@ -33,10 +33,11 @@ trace::TraceData sample_trace(ProtocolKind kind = ProtocolKind::kPredictive) {
 void expect_identical(const trace::TraceData& a, const trace::TraceData& b) {
   EXPECT_EQ(std::memcmp(&a.meta, &b.meta, sizeof(a.meta)), 0);
   ASSERT_EQ(a.events.size(), b.events.size());
-  if (!a.events.empty())
+  if (!a.events.empty()) {
     EXPECT_EQ(std::memcmp(a.events.data(), b.events.data(),
                           a.events.size() * sizeof(trace::Event)),
               0);
+  }
 }
 
 TEST(TraceIo, SerializeParseIdentity) {

@@ -40,7 +40,7 @@ TEST(WriteUpdate, PublishRangeFiltersBlocks) {
     // Publishing the rest delivers it.
     wu->wu_publish(c.id(), a + 128, 128);
     c.barrier();
-    if (c.id() == 1) EXPECT_EQ(c.read<int>(a + 128), 2);
+    if (c.id() == 1) { EXPECT_EQ(c.read<int>(a + 128), 2); }
   });
   // Reader 1 never re-faulted: updates arrived via pushes.
   EXPECT_EQ(sys.recorder().node(1).read_faults, 2u);
@@ -59,11 +59,11 @@ TEST(WriteUpdate, WriteFaultUpgradesInPlaceWithoutMessages) {
     }
     c.barrier();
     // The home still has the old value until a publish.
-    if (c.id() == 0) EXPECT_EQ(c.read<int>(a), 0);
+    if (c.id() == 0) { EXPECT_EQ(c.read<int>(a), 0); }
     c.barrier();
     sys.writeupdate()->wu_publish(c.id(), a, 64);
     c.barrier();
-    if (c.id() == 0) EXPECT_EQ(c.read<int>(a), 5);
+    if (c.id() == 0) { EXPECT_EQ(c.read<int>(a), 5); }
   });
 }
 
@@ -92,7 +92,7 @@ TEST(WriteUpdate, TwoWritersToDistinctBlocksBothForward) {
     }
   });
   EXPECT_EQ(sys.recorder().node(3).read_faults, 2u);
-  EXPECT_GT(sys.writeupdate()->stats().update_msgs, 0u);
+  EXPECT_GT(sys.recorder().sum(&stats::NodeCounters::wu_update_msgs), 0u);
 }
 
 TEST(WriteUpdate, ContiguousDirtyBlocksCoalesceToHome) {
@@ -102,16 +102,17 @@ TEST(WriteUpdate, ContiguousDirtyBlocksCoalesceToHome) {
     auto* wu = sys.writeupdate();
     if (c.id() == 1)
       for (int b = 0; b < 16; ++b) c.write<int>(a + b * 32, b);
-    const auto msgs_before = wu->stats().update_msgs;
+    const auto msgs_before = c.counters().wu_update_msgs;
     wu->wu_publish(c.id(), a, 512);
     if (c.id() == 1) {
       // 16 contiguous dirty blocks travelled in one run to the home.
-      EXPECT_EQ(wu->stats().update_msgs, msgs_before + 1);
-      EXPECT_EQ(wu->stats().update_blocks, 16u);
+      EXPECT_EQ(c.counters().wu_update_msgs, msgs_before + 1);
+      EXPECT_EQ(c.counters().wu_update_blocks, 16u);
     }
     c.barrier();
-    if (c.id() == 0)
+    if (c.id() == 0) {
       for (int b = 0; b < 16; ++b) EXPECT_EQ(c.read<int>(a + b * 32), b);
+    }
   });
 }
 
@@ -126,7 +127,7 @@ TEST(WriteUpdate, RepublishingUnchangedDataIsIdempotent) {
       if (c.id() == 0) c.write<int>(a, round);
       wu->wu_publish(c.id(), a, 64);
       c.barrier();
-      if (c.id() == 2) EXPECT_EQ(c.read<int>(a), round);
+      if (c.id() == 2) { EXPECT_EQ(c.read<int>(a), round); }
       c.barrier();
     }
   });
