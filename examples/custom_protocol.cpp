@@ -26,14 +26,13 @@ stats::Report run(runtime::ProtocolKind kind) {
   const auto table = sys.space().alloc_on_node(0, kEntries * 8);
 
   sys.run([&](runtime::NodeCtx& c) {
-    auto* wu = sys.writeupdate();
     for (int it = 0; it < kIters; ++it) {
       if (kind == runtime::ProtocolKind::kPredictive) c.phase(0);
       if (c.id() == 0)
         for (std::size_t e = 0; e < kEntries; ++e)
           c.write<std::uint64_t>(table + e * 8,
                                  static_cast<std::uint64_t>(it) * 1000 + e);
-      if (wu != nullptr) wu->wu_publish(c.id(), table, kEntries * 8);
+      c.publish(table, kEntries * 8);
       c.barrier();
       if (kind == runtime::ProtocolKind::kPredictive) c.phase(1);
       std::uint64_t sum = 0;

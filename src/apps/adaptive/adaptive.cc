@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "proto/writeupdate.h"
 #include "runtime/aggregate.h"
 #include "runtime/system.h"
 #include "util/check.h"
@@ -172,10 +171,7 @@ AppResult run_adaptive(const AdaptiveParams& params,
   sys.run([&](NodeCtx& c) {
     // Under write-update, publish each owner-write phase (cells and the
     // quad-trees they own) to its recorded readers before the barrier.
-    auto* wu = dynamic_cast<proto::WriteUpdateProtocol*>(&c.protocol());
-    const auto publish = [&] {
-      if (wu != nullptr) wu->wu_publish(c.id(), 0, c.space().size_bytes());
-    };
+    const auto publish = [&] { c.publish(0, c.space().size_bytes()); };
     // Initial condition: interior zero; the hot left-edge boundary drives a
     // steep front that relaxation propagates rightward, refining as it goes.
     for (const bool red_phase : {true, false}) {

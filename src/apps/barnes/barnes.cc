@@ -252,7 +252,6 @@ AppResult run_barnes(const BarnesParams& params,
   double checksum = 0.0;
 
   sys.run([&](NodeCtx& c) {
-    auto* wu = dynamic_cast<proto::WriteUpdateProtocol*>(&c.protocol());
     const auto [lo, hi] = pos.range(c.id());
     const std::size_t own = hi - lo;
 
@@ -278,11 +277,9 @@ AppResult run_barnes(const BarnesParams& params,
         insert_body(c, root, clamp_to_box(pos.get(c, i)), body_mass, 0);
       center_of_mass(c, root);
       roots.set(c, static_cast<std::size_t>(c.id()), root);
-      if (wu != nullptr) {
-        // Hand-optimized SPMD: publish the rebuilt subtree (and root slot)
-        // to every consumer recorded by the update protocol.
-        wu->wu_publish(c.id(), 0, c.space().size_bytes());
-      }
+      // Hand-optimized SPMD under write-update: publish the rebuilt subtree
+      // (and root slot) to every consumer the update protocol recorded.
+      c.publish(0, c.space().size_bytes());
       c.barrier();
 
       // ---- Phase 3: force computation -------------------------------------

@@ -1,6 +1,5 @@
 #include "apps/ocean/ocean.h"
 
-#include "proto/writeupdate.h"
 #include "runtime/aggregate.h"
 #include "runtime/system.h"
 #include "util/check.h"
@@ -87,7 +86,6 @@ AppResult run_ocean(const OceanParams& params,
   sys.run([&](NodeCtx& c) {
     // Hand-optimized SPMD discipline under write-update: publish the freshly
     // written plane to its recorded readers before the phase barrier.
-    auto* wu = dynamic_cast<proto::WriteUpdateProtocol*>(&c.protocol());
     for (const bool red_phase : {true, false}) {
       const auto& plane = red_phase ? grid.red : grid.black;
       const auto [lo, hi] = plane.row_range(c.id());
@@ -104,11 +102,11 @@ AppResult run_ocean(const OceanParams& params,
       }
       if (directives) c.phase(kPhaseRed);
       sweep(c, grid, /*red_phase=*/true);
-      if (wu != nullptr) wu->wu_publish(c.id(), 0, c.space().size_bytes());
+      c.publish(0, c.space().size_bytes());
       c.barrier();
       if (directives) c.phase(kPhaseBlack);
       sweep(c, grid, /*red_phase=*/false);
-      if (wu != nullptr) wu->wu_publish(c.id(), 0, c.space().size_bytes());
+      c.publish(0, c.space().size_bytes());
       c.barrier();
     }
 

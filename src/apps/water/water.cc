@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "apps/water/water_common.h"
-#include "proto/writeupdate.h"
 #include "runtime/aggregate.h"
 #include "runtime/system.h"
 
@@ -37,10 +36,7 @@ AppResult run_water(const WaterParams& params,
     std::vector<double> force(3 * n, 0.0);  // private accumulation, all n
     // Under write-update, publish each owner-write phase to its recorded
     // readers before they consume it.
-    auto* wu = dynamic_cast<proto::WriteUpdateProtocol*>(&c.protocol());
-    const auto publish = [&] {
-      if (wu != nullptr) wu->wu_publish(c.id(), 0, c.space().size_bytes());
-    };
+    const auto publish = [&] { c.publish(0, c.space().size_bytes()); };
 
     for (std::size_t i = lo; i < hi; ++i) {
       pos.set(c, i, lattice_position(i, n, box.length));

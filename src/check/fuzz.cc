@@ -255,8 +255,6 @@ RunResult run_program(const FuzzProgram& prog, runtime::ProtocolKind kind,
   auto cc_addr = [&](std::size_t b) {
     return cc_base + static_cast<mem::Addr>(b) * prog.block_size;
   };
-  auto* wu = sys.writeupdate();
-
   std::vector<std::uint32_t> ref(nb, 0);  // host-side ground truth
   RunResult out;
 
@@ -286,10 +284,9 @@ RunResult run_program(const FuzzProgram& prog, runtime::ProtocolKind kind,
           c.write<std::uint32_t>(addr(b), v);
           ref[b] = v;
         }
-        if (wu != nullptr && lid >= 0)
+        if (lid >= 0)
           for (std::size_t b = 0; b < nb; ++b)
-            if (ph.writer[b] == lid)
-              wu->wu_publish(c.id(), addr(b), prog.block_size);
+            if (ph.writer[b] == lid) c.publish(addr(b), prog.block_size);
         c.barrier();
         c.phase(2 * static_cast<int>(p) + 1);
         for (std::size_t b = 0; lid >= 0 && b < nb; ++b) {

@@ -21,18 +21,6 @@ Oracle::Oracle(mem::GlobalSpace& space, const sim::Engine& engine, Mode mode,
   ensure_block(space_.num_blocks() == 0 ? 0 : space_.num_blocks() - 1);
 }
 
-Oracle::LaneBuf* Oracle::defer_target() {
-  if (!engine_.in_lane_context()) return nullptr;
-  return &lanes_[static_cast<std::size_t>(engine_.current_lane())];
-}
-
-std::size_t Oracle::stash(LaneBuf& lb, const void* data, std::size_t n) {
-  const std::size_t off = lb.bytes.size();
-  const auto* p = static_cast<const std::byte*>(data);
-  lb.bytes.insert(lb.bytes.end(), p, p + n);
-  return off;
-}
-
 void Oracle::ensure_block(mem::BlockId b) {
   const std::size_t bsz = space_.block_size();
   const std::size_t need = static_cast<std::size_t>(b + 1);
@@ -57,7 +45,7 @@ void Oracle::push_ring(Ev kind, int a, int b, std::uint8_t info,
                        mem::BlockId blk) {
   RingEvent& e = ring_[ring_next_ % kRingSize];
   ++ring_next_;
-  e.t = now();
+  e.t = now_;
   e.kind = kind;
   e.a = static_cast<std::int16_t>(a);
   e.b = static_cast<std::int16_t>(b);
@@ -68,32 +56,114 @@ void Oracle::push_ring(Ev kind, int a, int b, std::uint8_t info,
 void Oracle::violation(int node, mem::BlockId b, std::string what) {
   ++violation_count_;
   if (violations_.size() < kMaxStoredViolations)
-    violations_.push_back(Violation{what, now(), node, b});
+    violations_.push_back(Violation{what, now_, node, b});
   if (fail_ == FailMode::kAbort) {
     std::fprintf(stderr, "--- oracle event ring (most recent last) ---\n%s",
                  ring_dump().c_str());
-    PRESTO_FAIL("coherence oracle: T=" << now() << " node " << node
+    PRESTO_FAIL("coherence oracle: T=" << now_ << " node " << node
                                        << " block " << b << ": " << what);
   }
 }
 
+// ---- Hooks: each builds one record and observes it --------------------------
+
+void Oracle::on_app_read(int node, mem::BlockId b, std::size_t off,
+                         const void* seen, std::size_t n) {
+  DefRec r;
+  r.kind = Ev::kRead;
+  r.a = static_cast<std::int16_t>(node);
+  r.block = b;
+  r.off = static_cast<std::uint32_t>(off);
+  r.n = static_cast<std::uint32_t>(n);
+  observe(r, seen, n);  // value observed, frozen at read time
+}
+
 void Oracle::on_app_write(int node, mem::BlockId b, std::size_t off,
                           const void* data, std::size_t n) {
-  if (LaneBuf* lb = defer_target()) {
-    DefRec r;
-    r.kind = Ev::kWrite;
-    r.t = engine_.now();
-    r.a = static_cast<std::int16_t>(node);
-    r.block = b;
-    r.off = static_cast<std::uint32_t>(off);
-    r.n = static_cast<std::uint32_t>(n);
-    r.data_off = stash(*lb, data, n);
-    r.has_data = true;
-    lb->recs.push_back(r);
+  DefRec r;
+  r.kind = Ev::kWrite;
+  r.a = static_cast<std::int16_t>(node);
+  r.block = b;
+  r.off = static_cast<std::uint32_t>(off);
+  r.n = static_cast<std::uint32_t>(n);
+  observe(r, data, n);
+}
+
+void Oracle::on_cc_update(int node, mem::BlockId b, std::size_t off,
+                          std::int64_t delta) {
+  DefRec r;
+  r.kind = Ev::kCcUpdate;
+  r.a = static_cast<std::int16_t>(node);
+  r.block = b;
+  r.off = static_cast<std::uint32_t>(off);
+  observe(r, &delta, sizeof(delta));
+}
+
+void Oracle::on_send(int src, int dst, const proto::Msg& m,
+                     std::uint32_t /*wire_bytes*/, sim::Time /*depart*/) {
+  DefRec r;
+  r.kind = Ev::kSend;
+  r.a = static_cast<std::int16_t>(src);
+  r.b = static_cast<std::int16_t>(dst);
+  r.block = m.block;
+  r.msg = m;  // trivially copyable; data pointer re-targeted at apply
+  observe(r, m.data, m.data_len);
+}
+
+void Oracle::on_install(int node, mem::BlockId b, const std::byte* data,
+                        mem::Tag tag) {
+  DefRec r;
+  r.kind = Ev::kInstall;
+  r.a = static_cast<std::int16_t>(node);
+  r.b = static_cast<std::int16_t>(tag);
+  r.block = b;
+  observe(r, data, space_.block_size());
+}
+
+void Oracle::observe(DefRec r, const void* data, std::size_t len) {
+  r.t = engine_.now();
+  if (!engine_.in_lane_context()) {
+    apply(r, static_cast<const std::byte*>(data));
     return;
   }
-  check_write(node, b, off, data, n);
+  LaneBuf& lb = lanes_[static_cast<std::size_t>(engine_.current_lane())];
+  if (data != nullptr) {
+    const auto* p = static_cast<const std::byte*>(data);
+    r.data_off = lb.bytes.size();
+    r.has_data = true;
+    lb.bytes.insert(lb.bytes.end(), p, p + len);
+  }
+  lb.recs.push_back(r);
 }
+
+void Oracle::apply(const DefRec& r, const std::byte* data) {
+  now_ = r.t;
+  switch (r.kind) {
+    case Ev::kRead:
+      check_read(r.a, r.block, r.off, data, r.n);
+      break;
+    case Ev::kWrite:
+      check_write(r.a, r.block, r.off, data, r.n);
+      break;
+    case Ev::kSend: {
+      proto::Msg m = r.msg;
+      m.data = data;
+      check_send(r.a, r.b, m);
+      break;
+    }
+    case Ev::kInstall:
+      check_install(r.a, r.block, data, static_cast<mem::Tag>(r.b));
+      break;
+    case Ev::kCcUpdate: {
+      std::int64_t delta;
+      std::memcpy(&delta, data, sizeof(delta));
+      check_cc_update(r.a, r.block, r.off, delta);
+      break;
+    }
+  }
+}
+
+// ---- Checks -----------------------------------------------------------------
 
 void Oracle::check_write(int node, mem::BlockId b, std::size_t off,
                          const void* data, std::size_t n) {
@@ -122,24 +192,6 @@ void Oracle::check_write(int node, mem::BlockId b, std::size_t off,
   push_ring(Ev::kWrite, node, -1, static_cast<std::uint8_t>(n), b);
 }
 
-void Oracle::on_cc_update(int node, mem::BlockId b, std::size_t off,
-                          std::int64_t delta) {
-  if (LaneBuf* lb = defer_target()) {
-    DefRec r;
-    r.kind = Ev::kCcUpdate;
-    r.t = engine_.now();
-    r.a = static_cast<std::int16_t>(node);
-    r.block = b;
-    r.off = static_cast<std::uint32_t>(off);
-    r.n = sizeof(delta);
-    r.data_off = stash(*lb, &delta, sizeof(delta));
-    r.has_data = true;
-    lb->recs.push_back(r);
-    return;
-  }
-  check_cc_update(node, b, off, delta);
-}
-
 void Oracle::check_cc_update(int node, mem::BlockId b, std::size_t off,
                              std::int64_t delta) {
   ensure_block(b);
@@ -154,24 +206,6 @@ void Oracle::check_cc_update(int node, mem::BlockId b, std::size_t off,
   std::memcpy(p, &v, sizeof(v));
   ++cc_updates_checked_;
   push_ring(Ev::kCcUpdate, node, -1, 0, b);
-}
-
-void Oracle::on_app_read(int node, mem::BlockId b, std::size_t off,
-                         const void* seen, std::size_t n) {
-  if (LaneBuf* lb = defer_target()) {
-    DefRec r;
-    r.kind = Ev::kRead;
-    r.t = engine_.now();
-    r.a = static_cast<std::int16_t>(node);
-    r.block = b;
-    r.off = static_cast<std::uint32_t>(off);
-    r.n = static_cast<std::uint32_t>(n);
-    r.data_off = stash(*lb, seen, n);  // value observed, frozen at read time
-    r.has_data = true;
-    lb->recs.push_back(r);
-    return;
-  }
-  check_read(node, b, off, seen, n);
 }
 
 void Oracle::check_read(int node, mem::BlockId b, std::size_t off,
@@ -207,25 +241,6 @@ void Oracle::check_read(int node, mem::BlockId b, std::size_t off,
   }
   ++reads_checked_;
   push_ring(Ev::kRead, node, -1, static_cast<std::uint8_t>(n), b);
-}
-
-void Oracle::on_send(int src, int dst, const proto::Msg& m) {
-  if (LaneBuf* lb = defer_target()) {
-    DefRec r;
-    r.kind = Ev::kSend;
-    r.t = engine_.now();
-    r.a = static_cast<std::int16_t>(src);
-    r.b = static_cast<std::int16_t>(dst);
-    r.block = m.block;
-    r.msg = m;  // trivially copyable; data pointer re-targeted at replay
-    if (m.data != nullptr) {
-      r.data_off = stash(*lb, m.data, m.data_len);
-      r.has_data = true;
-    }
-    lb->recs.push_back(r);
-    return;
-  }
-  check_send(src, dst, m);
 }
 
 void Oracle::check_send(int src, int dst, const proto::Msg& m) {
@@ -280,25 +295,6 @@ void Oracle::check_send(int src, int dst, const proto::Msg& m) {
   }
 }
 
-void Oracle::on_install(int node, mem::BlockId b, const std::byte* data,
-                        mem::Tag tag) {
-  if (LaneBuf* lb = defer_target()) {
-    DefRec r;
-    r.kind = Ev::kInstall;
-    r.t = engine_.now();
-    r.a = static_cast<std::int16_t>(node);
-    r.b = static_cast<std::int16_t>(tag);
-    r.block = b;
-    if (data != nullptr) {
-      r.data_off = stash(*lb, data, space_.block_size());
-      r.has_data = true;
-    }
-    lb->recs.push_back(r);
-    return;
-  }
-  check_install(node, b, data, tag);
-}
-
 void Oracle::check_install(int node, mem::BlockId b, const std::byte* data,
                            mem::Tag tag) {
   ensure_block(b);
@@ -336,37 +332,11 @@ void Oracle::replay_window() {
     if (x.lane != y.lane) return x.lane < y.lane;
     return x.idx < y.idx;
   });
-  replaying_ = true;
   for (const Key& k : order) {
     const LaneBuf& lb = lanes_[k.lane];
     const DefRec& r = lb.recs[k.idx];
-    replay_t_ = r.t;
-    const std::byte* d = r.has_data ? lb.bytes.data() + r.data_off : nullptr;
-    switch (r.kind) {
-      case Ev::kRead:
-        check_read(r.a, r.block, r.off, d, r.n);
-        break;
-      case Ev::kWrite:
-        check_write(r.a, r.block, r.off, d, r.n);
-        break;
-      case Ev::kSend: {
-        proto::Msg m = r.msg;
-        m.data = d;
-        check_send(r.a, r.b, m);
-        break;
-      }
-      case Ev::kInstall:
-        check_install(r.a, r.block, d, static_cast<mem::Tag>(r.b));
-        break;
-      case Ev::kCcUpdate: {
-        std::int64_t delta;
-        std::memcpy(&delta, d, sizeof(delta));
-        check_cc_update(r.a, r.block, r.off, delta);
-        break;
-      }
-    }
+    apply(r, r.has_data ? lb.bytes.data() + r.data_off : nullptr);
   }
-  replaying_ = false;
   for (LaneBuf& lb : lanes_) {
     lb.recs.clear();
     lb.bytes.clear();
@@ -376,6 +346,7 @@ void Oracle::replay_window() {
 std::size_t Oracle::final_sweep() {
   replay_window();  // drain anything buffered since the last boundary
   if (mode_ != Mode::kSC) return 0;
+  now_ = engine_.now();
   std::size_t compared = 0;
   const std::size_t bsz = space_.block_size();
   const std::size_t nblocks = space_.num_blocks();

@@ -27,26 +27,31 @@
 // set_strict_reads(true) by harnesses whose programs are phase-synchronized
 // (write -> publish -> barrier -> read), as the fuzzer's are.
 //
-// Observation is pure: the oracle never charges simulated time or schedules
-// events, so results are bit-identical with or without it. It is compiled in
-// always and attached per System when enabled — a runtime flag
-// (PRESTO_ORACLE=1/0) or by default in builds without NDEBUG (Debug /
-// sanitizer CI). Detached, the hot paths pay one null-pointer test
-// (mem/global_space.h read()/write(), proto/protocol.cc post()).
+// The oracle is one observer (trace/hooks.h) and overrides the five hooks
+// it checks: application reads and writes, commutative updates, message
+// sends and installs. Observation is pure: the oracle never charges
+// simulated time or schedules events, so results are bit-identical with or
+// without it. It is compiled in always and attached per System when enabled
+// — a runtime flag (PRESTO_ORACLE=1/0) or by default in builds without
+// NDEBUG (Debug / sanitizer CI). Detached, the hot paths pay one
+// null-pointer test (mem/global_space.h read()/write(), proto/protocol.cc
+// post()). Under a tracer it sits below it and sees the same calls.
 //
 // The oracle is bound to its System's engine, which runs windowed
 // (sim/engine.h). Hooks fire on the engine's concurrently draining lanes, so
-// they cannot touch the shared shadow directly. A hook inside a lane drain
-// instead records its arguments (payload bytes copied into a per-lane arena)
-// and replay_window() — registered as BoundaryOp::kOracle — applies the
+// they cannot touch the shared shadow directly. Each hook builds one record
+// of its arguments and hands it to observe(): inside a lane drain the record
+// is buffered (payload bytes copied into a per-lane arena) and
+// replay_window() — registered as BoundaryOp::kOracle — applies the
 // window's records against the shadow in merged (time, lane, record) order
-// on the coordinating thread; a hook outside any drain (setup) checks at
-// once. Tag-state checks then see boundary-time tags rather than event-time
-// tags; that is sound at window granularity: the window never exceeds the
-// network's minimum latency, so any copy a peer gained since the event was
-// recorded stems from a grant chain that began in an earlier window — if it
-// conflicts with the recorded access, the protocol really did let a
-// conflicting copy and an access coexist.
+// on the coordinating thread; outside any drain (setup) it is applied at
+// once. Both cases run the one apply(). Tag-state checks then see
+// boundary-time tags rather than event-time tags; that is sound at window
+// granularity: the window never exceeds the network's minimum latency, so
+// any copy a peer gained since the event was recorded stems from a grant
+// chain that began in an earlier window — if it conflicts with the recorded
+// access, the protocol really did let a conflicting copy and an access
+// coexist.
 //
 // A 256-event ring of recent accesses/messages is kept for failure triage;
 // the fuzzer embeds its tail in dumped trace files (docs/testing.md).
@@ -59,6 +64,7 @@
 #include "mem/global_space.h"
 #include "proto/protocol.h"
 #include "sim/engine.h"
+#include "trace/hooks.h"
 
 namespace presto::check {
 
@@ -80,8 +86,7 @@ struct Violation {
   mem::BlockId block = 0;
 };
 
-class Oracle final : public mem::AccessObserver,
-                     public proto::CoherenceObserver {
+class Oracle final : public trace::Hooks {
  public:
   Oracle(mem::GlobalSpace& space, const sim::Engine& engine, Mode mode,
          FailMode fail);
@@ -93,7 +98,7 @@ class Oracle final : public mem::AccessObserver,
   // kSC, which always checks). Only valid for phase-synchronized programs.
   void set_strict_reads(bool on) { strict_reads_ = on; }
 
-  // ---- mem::AccessObserver --------------------------------------------------
+  // ---- trace::Hooks ----------------------------------------------------------
   void on_app_read(int node, mem::BlockId b, std::size_t off,
                    const void* seen, std::size_t n) override;
   void on_app_write(int node, mem::BlockId b, std::size_t off,
@@ -105,11 +110,10 @@ class Oracle final : public mem::AccessObserver,
   // is caught by final_sweep when the home's copy diverges from the shadow.
   void on_cc_update(int node, mem::BlockId b, std::size_t off,
                     std::int64_t delta) override;
-
-  // ---- proto::CoherenceObserver ---------------------------------------------
   // Every message enters the event ring; a data-carrying one also has its
   // payload checked (sends_checked counts the blocks checked).
-  void on_send(int src, int dst, const proto::Msg& m) override;
+  void on_send(int src, int dst, const proto::Msg& m, std::uint32_t wire_bytes,
+               sim::Time depart) override;
   void on_install(int node, mem::BlockId b, const std::byte* data,
                   mem::Tag tag) override;
 
@@ -156,9 +160,11 @@ class Oracle final : public mem::AccessObserver,
   static constexpr std::size_t kRingSize = 256;
   static constexpr std::size_t kMaxStoredViolations = 32;
 
-  // One deferred hook invocation (windowed mode). Payload bytes live in the
-  // owning lane's arena at data_off; msg is meaningful for kSend only (its
-  // data pointer is re-targeted to the arena copy at replay).
+  // One hook invocation. Its payload (the bytes read or written, the delta,
+  // the message's or installed block's data) travels beside it: as the
+  // caller's pointer when applied at once, in the owning lane's arena at
+  // data_off when buffered. msg is meaningful for kSend only (its data
+  // pointer is re-targeted to the payload at apply).
   struct DefRec {
     Ev kind = Ev::kRead;
     sim::Time t = 0;
@@ -177,16 +183,18 @@ class Oracle final : public mem::AccessObserver,
   };
 
   void ensure_block(mem::BlockId b);
-  sim::Time now() const { return replaying_ ? replay_t_ : engine_.now(); }
-  // True when the calling hook must buffer instead of checking (inside a
-  // lane drain). Returns the lane's buffer.
-  LaneBuf* defer_target();
-  std::size_t stash(LaneBuf& lb, const void* data, std::size_t n);
+  // The one check path of every hook: stamps r with the engine's time, then
+  // buffers it (with `len` payload bytes at `data`, null for none) inside a
+  // lane drain, or applies it at once outside one.
+  void observe(DefRec r, const void* data, std::size_t len);
+  // Runs r's check against the shadow at time r.t, with `data` its payload
+  // (null for none). Called by observe() and, for buffered records, by
+  // replay_window().
+  void apply(const DefRec& r, const std::byte* data);
   void push_ring(Ev kind, int a, int b, std::uint8_t info, mem::BlockId blk);
   void violation(int node, mem::BlockId b, std::string what);
 
-  // Immediate check bodies; hooks call these directly outside lane drains
-  // and replay_window() calls them with replay_t_ overriding now().
+  // Check bodies, one per record kind (apply() dispatches).
   void check_read(int node, mem::BlockId b, std::size_t off, const void* seen,
                   std::size_t n);
   void check_write(int node, mem::BlockId b, std::size_t off, const void* data,
@@ -204,8 +212,9 @@ class Oracle final : public mem::AccessObserver,
   bool strict_reads_ = false;
 
   std::vector<LaneBuf> lanes_;  // [lane]
-  bool replaying_ = false;
-  sim::Time replay_t_ = 0;
+  // Time the ring and violations report: the applied record's, or the
+  // engine's during final_sweep.
+  sim::Time now_ = 0;
 
   // Flat shadow of the whole space (grown on demand, zero-filled to match
   // zero-initialized frames) + last writer per block (-1 = never written).

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "trace/hooks.h"
+
 namespace presto::mem {
 
 namespace {
@@ -171,8 +173,8 @@ void GlobalSpace::read_slow(int node, Addr a, void* out, std::size_t n) {
                    if (tag(node, b) == Tag::Invalid)
                      resolve_fault(node, b, /*is_write=*/false);
                    std::memcpy(dst + pos, block_data(node, b) + off, len);
-                   if (observer_ != nullptr) [[unlikely]]
-                     observer_->on_app_read(node, b, off, dst + pos, len);
+                   if (hooks_ != nullptr) [[unlikely]]
+                     hooks_->on_app_read(node, b, off, dst + pos, len);
                  });
 }
 
@@ -184,8 +186,8 @@ void GlobalSpace::write_slow(int node, Addr a, const void* in, std::size_t n) {
                    if (tag(node, b) != Tag::ReadWrite)
                      resolve_fault(node, b, /*is_write=*/true);
                    std::memcpy(block_data(node, b) + off, src + pos, len);
-                   if (observer_ != nullptr) [[unlikely]]
-                     observer_->on_app_write(node, b, off, src + pos, len);
+                   if (hooks_ != nullptr) [[unlikely]]
+                     hooks_->on_app_write(node, b, off, src + pos, len);
                  });
 }
 
@@ -195,7 +197,7 @@ void GlobalSpace::observe_read(int node, Addr a, const void* out,
   for_each_block(a, n, block_shift_,
                  [&](BlockId b, std::size_t off, std::size_t pos,
                      std::size_t len) {
-                   observer_->on_app_read(node, b, off, seen + pos, len);
+                   hooks_->on_app_read(node, b, off, seen + pos, len);
                  });
 }
 
@@ -205,7 +207,7 @@ void GlobalSpace::observe_write(int node, Addr a, const void* in,
   for_each_block(a, n, block_shift_,
                  [&](BlockId b, std::size_t off, std::size_t pos,
                      std::size_t len) {
-                   observer_->on_app_write(node, b, off, data + pos, len);
+                   hooks_->on_app_write(node, b, off, data + pos, len);
                  });
 }
 
@@ -218,8 +220,8 @@ void GlobalSpace::rmw(int node, Addr a, std::size_t n,
   // with respect to all other simulated processors.
   std::byte* p = block_data(node, b) + (a & (cfg_.block_size - 1));
   fn(p);
-  if (observer_ != nullptr) [[unlikely]]
-    observer_->on_app_write(node, b, a & (cfg_.block_size - 1), p, n);
+  if (hooks_ != nullptr) [[unlikely]]
+    hooks_->on_app_write(node, b, a & (cfg_.block_size - 1), p, n);
 }
 
 }  // namespace presto::mem

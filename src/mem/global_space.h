@@ -26,6 +26,10 @@
 
 #include "util/check.h"
 
+namespace presto::trace {
+class Hooks;
+}  // namespace presto::trace
+
 namespace presto::mem {
 
 using Addr = std::uint64_t;
@@ -42,33 +46,6 @@ class FaultHandler {
 
  protected:
   ~FaultHandler() = default;
-};
-
-// Observer of every completed application access, at single-block
-// granularity (block-spanning accesses report once per block touched).
-// Implemented by the coherence invariant oracle (check/oracle.h); null in
-// normal runs, so the fast paths pay only a pointer test. Hooks run on the
-// accessing node's thread, after the bytes moved, with the tag still held.
-class AccessObserver {
- public:
-  virtual void on_app_read(int node, BlockId b, std::size_t off,
-                           const void* seen, std::size_t n) = 0;
-  virtual void on_app_write(int node, BlockId b, std::size_t off,
-                            const void* data, std::size_t n) = 0;
-  // Privatized commutative update (ccached protocol, NodeCtx::cc_add):
-  // `delta` will be added to the 64-bit word at byte offset `off` of block b
-  // when the node's update log merges at the home. Defaulted so observers
-  // that predate commutative regions ignore it.
-  virtual void on_cc_update(int node, BlockId b, std::size_t off,
-                            std::int64_t delta) {
-    (void)node;
-    (void)b;
-    (void)off;
-    (void)delta;
-  }
-
- protected:
-  ~AccessObserver() = default;
 };
 
 struct MemConfig {
@@ -195,11 +172,10 @@ class GlobalSpace {
 
   void set_fault_handler(FaultHandler* h) { fault_ = h; }
 
-  // Attaches the invariant oracle (or detaches with nullptr). Observation is
-  // pure: the observer never charges time or schedules events, so simulated
-  // results are bit-identical with or without it.
-  void set_access_observer(AccessObserver* o) { observer_ = o; }
-  AccessObserver* access_observer() const { return observer_; }
+  // The run's observer (trace/hooks.h), copied from the engine's by
+  // runtime::System so the per-access path tests a member; nullptr
+  // detaches. Its access hooks see every completed access, once per block.
+  void set_trace_hooks(trace::Hooks* h) { hooks_ = h; }
 
   // An access inside one page whose frame is materialized and whose every
   // block the tag permits is one copy of n bytes, block-spanning or not;
@@ -210,7 +186,7 @@ class GlobalSpace {
     if (const std::byte* src = permitted(node, a, n, Tag::ReadOnly))
         [[likely]] {
       std::memcpy(out, src, n);
-      if (observer_ != nullptr) [[unlikely]] observe_read(node, a, out, n);
+      if (hooks_ != nullptr) [[unlikely]] observe_read(node, a, out, n);
       return;
     }
     read_slow(node, a, out, n);
@@ -219,7 +195,7 @@ class GlobalSpace {
   void write(int node, Addr a, const void* in, std::size_t n) {
     if (std::byte* dst = permitted(node, a, n, Tag::ReadWrite)) [[likely]] {
       std::memcpy(dst, in, n);
-      if (observer_ != nullptr) [[unlikely]] observe_write(node, a, in, n);
+      if (hooks_ != nullptr) [[unlikely]] observe_write(node, a, in, n);
       return;
     }
     write_slow(node, a, in, n);
@@ -299,7 +275,7 @@ class GlobalSpace {
   std::vector<std::uint8_t> commutative_;
 
   FaultHandler* fault_ = nullptr;
-  AccessObserver* observer_ = nullptr;
+  trace::Hooks* hooks_ = nullptr;
   std::function<void(std::function<void()>)> grow_gate_;
 };
 

@@ -21,13 +21,13 @@ CCachedProtocol::CCachedProtocol(sim::Engine& engine, net::Network& net,
   for (auto& nl : logs_) nl.slot.configure(bpp);
 }
 
-void CCachedProtocol::cc_update(int node, mem::Addr a, std::int64_t delta) {
+void CCachedProtocol::cc_add(int node, mem::Addr a, std::int64_t delta) {
   const mem::BlockId b = space_.block_of(a);
   PRESTO_CHECK(space_.is_commutative(b),
-               "cc_update outside a commutative region, addr " << a);
+               "cc_add outside a commutative region, addr " << a);
   const std::size_t off =
       static_cast<std::size_t>(a) & (space_.block_size() - 1);
-  PRESTO_CHECK((off & 7) == 0, "cc_update not 8-byte aligned, addr " << a);
+  PRESTO_CHECK((off & 7) == 0, "cc_add not 8-byte aligned, addr " << a);
 
   auto& nl = logs_[static_cast<std::size_t>(node)];
   std::uint32_t& s = nl.slot.at(b);
@@ -50,8 +50,8 @@ void CCachedProtocol::cc_update(int node, mem::Addr a, std::int64_t delta) {
   const std::size_t w = off >> 3;
   wl.delta[w] += delta;
   wl.used[w] = 1;
-  if (auto* o = space_.access_observer(); o != nullptr) [[unlikely]]
-    o->on_cc_update(node, b, off, delta);
+  if (trace::Hooks* h = engine_.trace_hooks(); h != nullptr) [[unlikely]]
+    h->on_cc_update(node, b, off, delta);
 }
 
 void CCachedProtocol::cc_flush(int node) {

@@ -47,18 +47,18 @@ class CCachedProtocol : public StacheProtocol {
   // block), then falls through to the Stache miss path.
   void on_fault(int node, mem::BlockId b, bool is_write) override;
 
-  // ---- App-thread API (runtime::NodeCtx) -----------------------------------
+  // ---- Directives (runtime::NodeCtx, app thread) ---------------------------
 
   // Privatizes `delta` against the 8-byte word at address a (which must lie
   // in a commutative region, 8-byte aligned). No permission needed, no
   // messages; the update becomes globally visible when the log flushes.
-  void cc_update(int node, mem::Addr a, std::int64_t delta);
+  void cc_add(int node, mem::Addr a, std::int64_t delta) override;
 
   // Flushes every block the node holds pending deltas for, in first-touch
   // order. Each block's flush is one CcFlush -> merge -> CcFlushAck round
   // trip, waited out serially on the app thread and bracketed as a write
   // miss (trace MissClass::kMerge), so Σ miss latency == Σ remote_wait holds.
-  void cc_flush(int node);
+  void cc_flush(int node) override;
 
   // One on-the-wire log entry: delta for one 8-byte word of the block.
   struct FlushEntry {

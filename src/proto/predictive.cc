@@ -366,9 +366,8 @@ void PredictiveProtocol::handle(int self, const Msg& m) {
                           : m.data + k * bsz,
                       static_cast<mem::Tag>(m.tag));
       rec_.node(self).presend_blocks_received += m.count;
-      if (trace_ != nullptr) [[unlikely]]
-        trace_->on_presend_install(self, m.src, m.block, m.count,
-                                   engine_.now());
+      if (trace::Hooks* h = engine_.trace_hooks(); h != nullptr) [[unlikely]]
+        h->on_presend_install(self, m.src, m.block, m.count, engine_.now());
       Msg r;
       r.type = MsgType::BulkAck;
       r.src = self;

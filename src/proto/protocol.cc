@@ -62,6 +62,15 @@ long Protocol::trace_block() {
   return b;
 }
 
+void Protocol::cc_add(int node, mem::Addr a, std::int64_t delta) {
+  space_.rmw(node, a, sizeof(std::int64_t), [delta](void* p) {
+    std::int64_t v;
+    std::memcpy(&v, p, sizeof(v));
+    v += delta;
+    std::memcpy(p, &v, sizeof(v));
+  });
+}
+
 void Protocol::install() {
   space_.set_fault_handler(this);
   net_.set_msg_sink(this);
@@ -72,10 +81,8 @@ void Protocol::post(int src, int dst, const Msg& m, sim::Time depart) {
   auto& c = rec_.node(src);
   ++c.msgs_sent;
   c.bytes_sent += bytes;
-  if (observer_ != nullptr) [[unlikely]] observer_->on_send(src, dst, m);
-  if (trace_ != nullptr) [[unlikely]]
-    trace_->on_msg_send(src, dst, static_cast<std::uint8_t>(m.type), m.block,
-                        m.count, static_cast<std::uint32_t>(bytes), depart);
+  if (trace::Hooks* h = engine_.trace_hooks(); h != nullptr) [[unlikely]]
+    h->on_send(src, dst, m, static_cast<std::uint32_t>(bytes), depart);
   // Header and payload are copied into the (src, dst) channel ring before
   // this returns; m.data may point straight at GlobalSpace frame bytes.
   net_.send_msg(src, dst, bytes, depart, &m, sizeof(Msg), m.data, m.data_len);
@@ -99,12 +106,12 @@ sim::Time Protocol::on_arrival(int dst, const std::byte* rec,
   const sim::Time start = engine_.now() > busy ? engine_.now() : busy;
   const sim::Time done = start + costs_.handler;
   busy = done;
-  if (trace_ != nullptr) [[unlikely]] {
-    // Decode the header only when traced; the untraced arrival path never
-    // touches the record bytes.
+  if (trace::Hooks* h = engine_.trace_hooks(); h != nullptr) [[unlikely]] {
+    // Decode the header only when observed; the unobserved arrival path
+    // never touches the record bytes.
     Msg m;
     std::memcpy(&m, rec, sizeof(Msg));
-    trace_->on_msg_recv(
+    h->on_msg_recv(
         dst, m.src, static_cast<std::uint8_t>(m.type), m.block,
         static_cast<std::uint32_t>(costs_.header_bytes + m.data_len),
         engine_.now(), start);

@@ -23,7 +23,13 @@
 // remote-miss window (remote_miss), the per-node ack count (expect_ack /
 // ack / await_acks) and the handler chain (handle). A protocol plugs in by
 // overriding on_fault and handle, taking its own message types and passing
-// the rest to its base class.
+// the rest to its base class, and overrides the directives it acts on
+// (phase_begin / phase_flush, publish, cc_add / cc_flush); runtime::NodeCtx
+// calls every directive through this class under every protocol.
+//
+// The run's observer (trace/hooks.h) is read through the engine: post()
+// shows it each message once, install_block / notify_install each install,
+// remote_miss each miss window.
 #pragma once
 
 #include <cstdint>
@@ -95,25 +101,6 @@ struct ProtoCosts {
   std::size_t header_bytes = 16;
 };
 
-// Observer of protocol-level message traffic and data movement, implemented
-// by the coherence invariant oracle (check/oracle.h). Null in normal runs;
-// hooks are pure observation (no time charged, no events scheduled), so
-// simulated results are bit-identical with or without it.
-//   on_send — every protocol message, at the instant its header and payload
-//     are copied into the channel ring (post() is the one send path). For a
-//     data-carrying message (DataS/DataX/RecallAckData/BulkData/WuData/
-//     UpdateData) the presend-coherence invariant is checked here.
-//   on_install — a block copy or permission change lands at a node.
-class CoherenceObserver {
- public:
-  virtual void on_send(int src, int dst, const Msg& m) = 0;
-  virtual void on_install(int node, mem::BlockId b, const std::byte* data,
-                          mem::Tag tag) = 0;
-
- protected:
-  ~CoherenceObserver() = default;
-};
-
 class Protocol : public net::Network::MsgSink, public mem::FaultHandler {
  public:
   Protocol(sim::Engine& engine, net::Network& net, mem::GlobalSpace& space,
@@ -133,30 +120,28 @@ class Protocol : public net::Network::MsgSink, public mem::FaultHandler {
   // returns once the access is permitted by the block tag.
   void on_fault(int node, mem::BlockId b, bool is_write) override = 0;
 
-  // Compiler-placed directives (no-ops in the base protocols so identical
-  // application code runs under every protocol).
-  virtual void phase_begin(int node, int phase) {
-    (void)node;
-    (void)phase;
-  }
-  virtual void phase_flush(int node, int phase) {
-    (void)node;
-    (void)phase;
-  }
+  // Directives, on the node's app thread. The defaults let identical
+  // application code run under every protocol.
+  //
+  // Compiler-placed phase directives (the predictive protocol's schedule
+  // and presend, §3.4); no-ops by default.
+  virtual void phase_begin(int /*node*/, int /*phase*/) {}
+  virtual void phase_flush(int /*node*/, int /*phase*/) {}
+  // The SPMD program's explicit publish of [base, base+len) (write-update
+  // pushes its dirty blocks to their readers, §3.2); no-op by default.
+  virtual void publish(int /*node*/, mem::Addr /*base*/,
+                       std::size_t /*len*/) {}
+  // Adds delta to the 64-bit word at a, 8-byte aligned inside a
+  // mem::GlobalSpace::set_commutative region: an atomic read-modify-write
+  // by default; ccached privatizes it into the node's log instead.
+  virtual void cc_add(int node, mem::Addr a, std::int64_t delta);
+  // Makes the node's privatized commutative updates globally visible;
+  // no-op by default (nothing is privatized).
+  virtual void cc_flush(int /*node*/) {}
 
   // Global barrier callback, wired by runtime::System (the predictive
   // protocol ends its presend with a barrier, §3.4).
   void set_barrier(std::function<void(int)> fn) { barrier_ = std::move(fn); }
-
-  // Attaches the invariant oracle, or a tracer that forwards to it (nullptr
-  // detaches).
-  void set_coherence_observer(CoherenceObserver* o) { observer_ = o; }
-
-  // Attaches the event tracer (trace/tracer.h). Like the oracle, hooks are
-  // pure observation; null in untraced runs so the hot paths stay branch-
-  // predictable single null checks.
-  void set_trace_hooks(trace::Hooks* h) { trace_ = h; }
-  trace::Hooks* trace_hooks() const { return trace_; }
 
   const ProtoCosts& costs() const { return costs_; }
 
@@ -212,16 +197,15 @@ class Protocol : public net::Network::MsgSink, public mem::FaultHandler {
                    int dst, const Msg& req, Done done) {
     sim::Processor& p = proc(node);
     const sim::Time t0 = p.now();
-    if (trace_ != nullptr) [[unlikely]]
-      trace_->on_miss_start(node, b, is_write, t0);
+    trace::Hooks* const h = engine_.trace_hooks();
+    if (h != nullptr) [[unlikely]] h->on_miss_start(node, b, is_write, t0);
     p.charge(cost);
     send_from_app(node, dst, req);
     std::int64_t& waiting = waiting_[static_cast<std::size_t>(node)];
     waiting = static_cast<std::int64_t>(b);
     while (!done()) p.block();
     waiting = -1;
-    if (trace_ != nullptr) [[unlikely]]
-      trace_->on_miss_end(node, b, is_write, p.now());
+    if (h != nullptr) [[unlikely]] h->on_miss_end(node, b, is_write, p.now());
     rec_.node(node).remote_wait += p.now() - t0;
   }
 
@@ -249,12 +233,13 @@ class Protocol : public net::Network::MsgSink, public mem::FaultHandler {
   void install_block(int node, mem::BlockId b, const std::byte* data,
                      mem::Tag tag);
 
-  // Oracle notification for handler sites that install block bytes without
-  // going through install_block (e.g. RecallAckData landing at the home).
+  // Observer notification for handler sites that install block bytes
+  // without going through install_block (e.g. RecallAckData landing at the
+  // home).
   void notify_install(int node, mem::BlockId b, const std::byte* data,
                       mem::Tag tag) {
-    if (observer_ != nullptr) [[unlikely]]
-      observer_->on_install(node, b, data, tag);
+    if (trace::Hooks* h = engine_.trace_hooks(); h != nullptr) [[unlikely]]
+      h->on_install(node, b, data, tag);
   }
   bool is_waiting_on(int node, mem::BlockId b) const {
     return waiting_[static_cast<std::size_t>(node)] == static_cast<std::int64_t>(b);
@@ -267,13 +252,11 @@ class Protocol : public net::Network::MsgSink, public mem::FaultHandler {
   stats::Recorder& rec_;
   const ProtoCosts costs_;
   std::function<void(int)> barrier_;
-  CoherenceObserver* observer_ = nullptr;
-  trace::Hooks* trace_ = nullptr;
 
  private:
   // Every message leaves through here: it is counted (the sender's
-  // msgs_sent/bytes_sent), shown to the observer and the tracer, and handed
-  // to the network.
+  // msgs_sent/bytes_sent), shown once to the run's observer, and handed to
+  // the network.
   void post(int src, int dst, const Msg& m, sim::Time depart);
 
   std::vector<sim::Time> busy_until_;     // protocol dispatch occupancy

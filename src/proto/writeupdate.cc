@@ -103,7 +103,7 @@ void WriteUpdateProtocol::send_update_run(int src, int dst, mem::BlockId b0,
   m.count = count;
   m.token = token;
   // Runs can straddle page frames, so gather into the node's scratch. The
-  // callers (wu_publish and forward_run) send immediately with no yield
+  // callers (publish and forward_run) send immediately with no yield
   // between this fill and the ring copy in post().
   std::byte* buf = scratch(src, count * bsz);
   for (std::uint32_t k = 0; k < count; ++k)
@@ -142,8 +142,7 @@ int WriteUpdateProtocol::forward_run(int home, mem::BlockId b0,
   return sent;
 }
 
-void WriteUpdateProtocol::wu_publish(int node, mem::Addr base,
-                                     std::size_t len) {
+void WriteUpdateProtocol::publish(int node, mem::Addr base, std::size_t len) {
   auto& p = proc(node);
   PRESTO_CHECK(!acks_pending(node), "nested publish on node " << node);
   ++rec_.node(node).wu_publishes;

@@ -5,7 +5,7 @@
 // Unlike Stache, writes never invalidate: a write fault upgrades the local
 // copy in place (fetching current contents from the home if the block was
 // not cached) and the writer remembers the block as dirty. The application
-// publishes its dirty data at phase boundaries with wu_publish(), which
+// publishes its dirty data at phase boundaries with publish(), which
 // pushes coalesced update messages to the home and on to every recorded
 // reader, blocking until the final recipients acknowledge. As the paper
 // notes (§3.2), update protocols do not provide sequential consistency; the
@@ -41,7 +41,7 @@ class WriteUpdateProtocol : public Protocol {
   // waits for end-to-end acknowledgements. Runs on the node's processor
   // thread; the application must follow with a barrier before readers
   // consume the values.
-  void wu_publish(int node, mem::Addr base, std::size_t len);
+  void publish(int node, mem::Addr base, std::size_t len) override;
 
   std::size_t metadata_bytes() const override;
 

@@ -26,16 +26,15 @@ void BarrierManager::arrive_and_wait(int node, std::size_t bytes) {
   // epoch_ only advances at window boundaries, so this read is stable for
   // the whole drain.
   const std::uint64_t my_epoch = epoch_;
-  if (trace_ != nullptr) [[unlikely]]
-    trace_->on_barrier_arrive(node, my_epoch, arrive);
+  trace::Hooks* const h = engine_.trace_hooks();
+  if (h != nullptr) [[unlikely]] h->on_barrier_arrive(node, my_epoch, arrive);
   Slot& s = slots_[static_cast<std::size_t>(node)];
   PRESTO_CHECK(!s.arrived, "node " << node << " re-arrived before release");
   s.arrived = true;
   s.arrive = arrive;
   s.bytes = bytes;
   while (epoch_ == my_epoch) p.block();
-  if (trace_ != nullptr) [[unlikely]]
-    trace_->on_barrier_release(node, my_epoch, p.now());
+  if (h != nullptr) [[unlikely]] h->on_barrier_release(node, my_epoch, p.now());
   rec_.node(node).barrier_wait += p.now() - arrive;
 }
 

@@ -25,10 +25,6 @@
 #include "sim/processor.h"
 #include "stats/recorder.h"
 
-namespace presto::trace {
-class Hooks;
-}  // namespace presto::trace
-
 namespace presto::runtime {
 
 class BarrierManager {
@@ -43,9 +39,6 @@ class BarrierManager {
   void reduce_vec_sum(int node, std::span<double> inout);
 
   std::uint64_t barriers_completed() const { return epoch_; }
-
-  // Event tracer (trace/tracer.h); null in untraced runs.
-  void set_trace_hooks(trace::Hooks* h) { trace_ = h; }
 
  private:
   // Deferred arrival of one node: written only by the owning node's lane
@@ -72,7 +65,6 @@ class BarrierManager {
   const int nodes_;
   const sim::Time latency_;
   const sim::Time per_byte_;
-  trace::Hooks* trace_ = nullptr;
 
   std::vector<Slot> slots_;  // [node]
 

@@ -13,7 +13,7 @@ SharedLock SharedLock::create(mem::GlobalSpace& space, int home) {
 
 void SharedLock::acquire(NodeCtx& c) {
   const sim::Time t0 = c.proc().now();
-  trace::Hooks* h = c.protocol().trace_hooks();
+  trace::Hooks* h = c.proc().engine().trace_hooks();
   const std::uint64_t lock_block = c.space().block_of(word_);
   if (h != nullptr) [[unlikely]]
     h->on_lock_acquire(c.id(), lock_block, t0);
@@ -41,7 +41,8 @@ void SharedLock::acquire(NodeCtx& c) {
 }
 
 void SharedLock::release(NodeCtx& c) {
-  if (trace::Hooks* h = c.protocol().trace_hooks(); h != nullptr) [[unlikely]]
+  trace::Hooks* h = c.proc().engine().trace_hooks();
+  if (h != nullptr) [[unlikely]]
     h->on_lock_release(c.id(), c.space().block_of(word_), c.proc().now());
   c.rmw<std::uint64_t>(word_, [](std::uint64_t& w) { w = 0; });
 }

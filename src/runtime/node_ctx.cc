@@ -1,9 +1,5 @@
 #include "runtime/node_ctx.h"
 
-#include <cstring>
-
-#include "proto/ccached.h"
-
 namespace presto::runtime {
 
 NodeCtx::NodeCtx(int id, const MachineConfig& cfg, sim::Processor& proc,
@@ -16,26 +12,6 @@ NodeCtx::NodeCtx(int id, const MachineConfig& cfg, sim::Processor& proc,
       rec_(rec),
       barrier_(barrier),
       protocol_(protocol),
-      cc_(dynamic_cast<proto::CCachedProtocol*>(&protocol)),
       rng_(cfg.seed ^ (0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(id + 1))) {}
-
-void NodeCtx::cc_add(mem::Addr a, std::int64_t delta) {
-  proc_.charge(cfg_.access_check);
-  ++rec_.node(id_).shared_writes;
-  if (cc_ != nullptr) {
-    cc_->cc_update(id_, a, delta);
-    return;
-  }
-  space_.rmw(id_, a, sizeof(std::int64_t), [delta](void* p) {
-    std::int64_t v;
-    std::memcpy(&v, p, sizeof(v));
-    v += delta;
-    std::memcpy(p, &v, sizeof(v));
-  });
-}
-
-void NodeCtx::cc_flush() {
-  if (cc_ != nullptr) cc_->cc_flush(id_);
-}
 
 }  // namespace presto::runtime

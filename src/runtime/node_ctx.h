@@ -4,9 +4,10 @@
 // Every shared-memory access goes through the fine-grain tag check (charging
 // the Blizzard software check cost) and may fault into the coherence
 // protocol. Compute is charged explicitly in flops/ops, and collectives go
-// through the control-network barrier manager. phase()/flush_phase() are the
-// compiler-placed predictive-protocol directives — no-ops under other
-// protocols, so identical application code runs in every configuration.
+// through the control-network barrier manager. The directives (phase(),
+// flush_phase(), publish(), cc_add(), cc_flush()) call the protocol's
+// virtuals, whose defaults let identical application code run in every
+// configuration.
 #pragma once
 
 #include <cstdint>
@@ -20,10 +21,6 @@
 #include "stats/recorder.h"
 #include "trace/hooks.h"
 #include "util/rng.h"
-
-namespace presto::proto {
-class CCachedProtocol;
-}  // namespace presto::proto
 
 namespace presto::runtime {
 
@@ -82,10 +79,14 @@ class NodeCtx {
   // visible by cc_flush); under every other protocol it degrades to an
   // ordinary atomic read-modify-write, so identical application code runs in
   // every configuration.
-  void cc_add(mem::Addr a, std::int64_t delta);
+  void cc_add(mem::Addr a, std::int64_t delta) {
+    proc_.charge(cfg_.access_check);
+    ++rec_.node(id_).shared_writes;
+    protocol_.cc_add(id_, a, delta);
+  }
   // Flushes this node's pending commutative updates to their homes. No-op
   // under non-ccached protocols (there is nothing privatized to flush).
-  void cc_flush();
+  void cc_flush() { protocol_.cc_flush(id_); }
 
   // ---- Compute cost model ---------------------------------------------------
 
@@ -102,18 +103,26 @@ class NodeCtx {
     barrier_.reduce_vec_sum(id_, inout);
   }
 
-  // ---- Predictive-protocol directives ---------------------------------------
+  // ---- Directives ------------------------------------------------------------
 
+  // Compiler-placed predictive-protocol phase directives.
   void phase(int phase_id) {
-    trace::Hooks* h = protocol_.trace_hooks();
+    trace::Hooks* h = proc_.engine().trace_hooks();
     if (h != nullptr) [[unlikely]] h->on_phase_begin(id_, phase_id, proc_.now());
     protocol_.phase_begin(id_, phase_id);
     if (h != nullptr) [[unlikely]] h->on_phase_ready(id_, phase_id, proc_.now());
   }
   void flush_phase(int phase_id) {
-    if (trace::Hooks* h = protocol_.trace_hooks(); h != nullptr) [[unlikely]]
+    trace::Hooks* h = proc_.engine().trace_hooks();
+    if (h != nullptr) [[unlikely]]
       h->on_phase_flush(id_, phase_id, proc_.now());
     protocol_.phase_flush(id_, phase_id);
+  }
+  // Publishes this node's writes to [base, base+len) (write-update pushes
+  // them to their readers). No-op under the other protocols, which keep
+  // copies coherent themselves.
+  void publish(mem::Addr base, std::size_t len) {
+    protocol_.publish(id_, base, len);
   }
 
   // ---- Dynamic global allocation (homed at this node) ------------------------
@@ -134,7 +143,6 @@ class NodeCtx {
   stats::Recorder& rec_;
   BarrierManager& barrier_;
   proto::Protocol& protocol_;
-  proto::CCachedProtocol* cc_ = nullptr;  // non-null iff protocol is ccached
   util::Rng rng_;
 };
 

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "proto/ccached.h"
+#include "proto/writeupdate.h"
 #include "sim/parallel.h"
 #include "trace/file.h"
 #include "util/check.h"
@@ -114,27 +115,24 @@ check::Oracle& System::enable_oracle(check::FailMode fail) {
   // without re-registration.
   engine_.set_boundary_op(sim::BoundaryOp::kOracle,
                           [this] { oracle_->replay_window(); });
-  if (tracer_ != nullptr) {
-    // An attached tracer stays on top and forwards to the new oracle.
-    tracer_->chain(oracle_.get(), oracle_.get());
-  } else {
-    space_->set_access_observer(oracle_.get());
-    protocol_->set_coherence_observer(oracle_.get());
-  }
+  attach_observer();
   return *oracle_;
 }
 
 trace::Tracer& System::enable_trace(const trace::TraceConfig& tcfg) {
   tracer_ = std::make_unique<trace::Tracer>(tcfg, *space_, &engine_);
-  // The tracer observes first and forwards to the oracle (null when none is
-  // attached), so both see the identical call stream.
-  tracer_->chain(oracle_.get(), oracle_.get());
-  space_->set_access_observer(tracer_.get());
-  protocol_->set_coherence_observer(tracer_.get());
-  protocol_->set_trace_hooks(tracer_.get());
-  barrier_->set_trace_hooks(tracer_.get());
-  engine_.set_trace_hooks(tracer_.get());
+  attach_observer();
   return *tracer_;
+}
+
+void System::attach_observer() {
+  trace::Hooks* h = oracle_.get();
+  if (tracer_ != nullptr) {
+    tracer_->chain(h);
+    h = tracer_.get();
+  }
+  engine_.set_trace_hooks(h);
+  space_->set_trace_hooks(h);
 }
 
 System::~System() = default;
@@ -143,12 +141,6 @@ proto::PredictiveProtocol* System::predictive() {
   return kind_ == ProtocolKind::kPredictive ||
                  kind_ == ProtocolKind::kPredictiveAnticipate
              ? static_cast<proto::PredictiveProtocol*>(protocol_.get())
-             : nullptr;
-}
-
-proto::WriteUpdateProtocol* System::writeupdate() {
-  return kind_ == ProtocolKind::kWriteUpdate
-             ? static_cast<proto::WriteUpdateProtocol*>(protocol_.get())
              : nullptr;
 }
 

@@ -12,7 +12,6 @@
 #include "net/network.h"
 #include "proto/predictive.h"
 #include "proto/stache.h"
-#include "proto/writeupdate.h"
 #include "runtime/barrier.h"
 #include "runtime/machine.h"
 #include "runtime/node_ctx.h"
@@ -40,27 +39,26 @@ class System {
   BarrierManager& barrier_manager() { return *barrier_; }
   proto::Protocol& protocol() { return *protocol_; }
 
-  // Null unless the corresponding protocol kind is active.
+  // Null unless a predictive protocol kind is active.
   proto::PredictiveProtocol* predictive();
-  proto::WriteUpdateProtocol* writeupdate();
 
-  // Attaches the coherence invariant oracle (check/oracle.h) to this system's
-  // space and protocol, below an attached tracer. Attached automatically at
-  // construction when check::oracle_enabled_by_default() — PRESTO_ORACLE=1/0
-  // overrides the build-type default (on without NDEBUG, off otherwise).
-  // Observation is pure, so simulated results are bit-identical either way.
-  // Calling again replaces the oracle (the fuzzer attaches one with
-  // FailMode::kRecord).
+  // Attaches the coherence invariant oracle (check/oracle.h), below an
+  // attached tracer. Attached automatically at construction when
+  // check::oracle_enabled_by_default() — PRESTO_ORACLE=1/0 overrides the
+  // build-type default (on without NDEBUG, off otherwise). Observation is
+  // pure, so simulated results are bit-identical either way. Calling again
+  // replaces the oracle (the fuzzer attaches one with FailMode::kRecord).
   check::Oracle& enable_oracle(check::FailMode fail);
   check::Oracle* oracle() { return oracle_.get(); }
 
   // Attaches the event tracer (trace/tracer.h). Attached automatically at
   // construction when cfg.trace.enabled (the --trace CLI flag). The tracer
-  // observes first and forwards to the oracle (attached in Debug builds), so
-  // both observe the same run. At the end of run() the trace is
-  // written to cfg.trace.path as given: ".json" → Perfetto trace_event JSON,
-  // anything else → the binary format (trace/file.h). Callers running several
-  // Systems name each run's file with TraceConfig::for_run.
+  // observes first and forwards the oracle's five hooks to it (attached in
+  // Debug builds), so both observe the same run. At the end of run() the
+  // trace is written to cfg.trace.path as given: ".json" → Perfetto
+  // trace_event JSON, anything else → the binary format (trace/file.h).
+  // Callers running several Systems name each run's file with
+  // TraceConfig::for_run.
   trace::Tracer& enable_trace(const trace::TraceConfig& tcfg);
   trace::Tracer* tracer() { return tracer_.get(); }
 
@@ -71,6 +69,10 @@ class System {
   stats::Report report(std::string label) const;
 
  private:
+  // Makes the run's one observer (trace/hooks.h) the tracer, chained to
+  // the oracle, or else the oracle, and hands it to the engine and the
+  // space.
+  void attach_observer();
   void write_trace();
 
   MachineConfig cfg_;

@@ -237,8 +237,10 @@ class Engine {
   void set_fiber_stack_size(std::size_t bytes) { fiber_stack_size_ = bytes; }
   std::size_t fiber_stack_size() const { return fiber_stack_size_; }
 
-  // Event tracer (trace/tracer.h): processors emit block/resume events
-  // through this. Null in untraced runs; observation only.
+  // The run's one observer (trace/hooks.h): the oracle, the tracer, or the
+  // tracer forwarding to the oracle. Processors, protocols, barriers and
+  // node contexts read it here; null in unobserved runs. runtime::System
+  // sets it, with mem::GlobalSpace's copy, in one function.
   void set_trace_hooks(trace::Hooks* h) { trace_hooks_ = h; }
   trace::Hooks* trace_hooks() const { return trace_hooks_; }
 

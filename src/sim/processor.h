@@ -40,6 +40,7 @@ class Processor {
   Processor& operator=(const Processor&) = delete;
 
   int id() const { return id_; }
+  Engine& engine() const { return engine_; }
   // Event lane this processor schedules on and parks against: its own node
   // lane in windowed mode, lane 0 (the only lane) otherwise.
   int lane() const { return lane_; }

@@ -231,6 +231,13 @@ void Tracer::on_miss_end(int node, std::uint64_t block, bool is_write,
                                   (is_write ? kMissWriteBit : 0)));
 }
 
+void Tracer::on_send(int src, int dst, const proto::Msg& m,
+                     std::uint32_t wire_bytes, sim::Time depart) {
+  on_msg_send(src, dst, static_cast<std::uint8_t>(m.type), m.block, m.count,
+              wire_bytes, depart);
+  if (next_ != nullptr) next_->on_send(src, dst, m, wire_bytes, depart);
+}
+
 void Tracer::on_msg_send(int src, int dst, std::uint8_t msg_type,
                          std::uint64_t block, std::uint32_t count,
                          std::uint32_t wire_bytes, sim::Time depart) {
@@ -273,8 +280,6 @@ void Tracer::on_ctx_resume(int node, sim::Time t) {
   emit(EventKind::kCtxResume, node, t, 0, 0, -1, 0);
 }
 
-// ---- mem::AccessObserver ----------------------------------------------------
-
 void Tracer::on_app_read(int node, mem::BlockId b, std::size_t off,
                          const void* seen, std::size_t n) {
   std::uint8_t& st = state(node, b);
@@ -285,7 +290,7 @@ void Tracer::on_app_read(int node, mem::BlockId b, std::size_t off,
     resolve_pending(node, b, /*hit=*/true, node_now(node));
   }
   st |= kEverValid;
-  if (next_access_ != nullptr) next_access_->on_app_read(node, b, off, seen, n);
+  if (next_ != nullptr) next_->on_app_read(node, b, off, seen, n);
 }
 
 void Tracer::on_app_write(int node, mem::BlockId b, std::size_t off,
@@ -294,8 +299,7 @@ void Tracer::on_app_write(int node, mem::BlockId b, std::size_t off,
   if ((st & kPending) != 0)
     resolve_pending(node, b, /*hit=*/true, node_now(node));
   st |= kEverValid;
-  if (next_access_ != nullptr)
-    next_access_->on_app_write(node, b, off, data, n);
+  if (next_ != nullptr) next_->on_app_write(node, b, off, data, n);
 }
 
 void Tracer::on_cc_update(int node, mem::BlockId b, std::size_t off,
@@ -303,15 +307,7 @@ void Tracer::on_cc_update(int node, mem::BlockId b, std::size_t off,
   // Privatized update: no copy became valid at the node, so no state change
   // and no event — but the chained oracle must still see it to keep its
   // committed shadow exact.
-  if (next_access_ != nullptr) next_access_->on_cc_update(node, b, off, delta);
-}
-
-// ---- proto::CoherenceObserver -----------------------------------------------
-
-void Tracer::on_send(int src, int dst, const proto::Msg& m) {
-  // The message's trace event comes from on_msg_send; this forwards the
-  // send to the oracle's checks and event ring.
-  if (next_coherence_ != nullptr) next_coherence_->on_send(src, dst, m);
+  if (next_ != nullptr) next_->on_cc_update(node, b, off, delta);
 }
 
 void Tracer::on_install(int node, mem::BlockId b, const std::byte* data,
@@ -319,8 +315,7 @@ void Tracer::on_install(int node, mem::BlockId b, const std::byte* data,
   state(node, b) |= kEverValid;
   emit(EventKind::kInstall, node, engine_now(), b, 0,
        static_cast<std::int16_t>(tag), 0);
-  if (next_coherence_ != nullptr)
-    next_coherence_->on_install(node, b, data, tag);
+  if (next_ != nullptr) next_->on_install(node, b, data, tag);
 }
 
 // ---- End of run -------------------------------------------------------------

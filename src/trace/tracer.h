@@ -1,5 +1,6 @@
-// The tracer: turns the simulator's observation hooks into a deterministic
-// typed event stream plus an online accounting summary.
+// The tracer: turns the simulator's observation hooks (trace/hooks.h, every
+// one of which it overrides) into a deterministic typed event stream plus an
+// online accounting summary.
 //
 // Buffering is chunked, like net/record_ring.h, at event granularity:
 // fixed 32-byte POD events are appended through a raw write
@@ -15,15 +16,20 @@
 // in bulk at window boundaries (BoundaryOp::kTrace of the engine the tracer
 // is attached to), and once more at finalize. A tracer built with no engine
 // (a host-cost probe that calls hooks directly) has the same per-node
-// buffers and is stamped at finalize alone; its observer hooks, which are
-// passed no clock, record time 0. Buffers are bounded by
+// buffers and is stamped at finalize alone; its access and install hooks,
+// which are passed no clock, record time 0. Buffers are bounded by
 // TraceConfig::max_events_per_node; overflow drops events but never
 // silently — dropped counts land in the summary and the file meta.
 //
 // Observation is pure (no simulated time charged, no events scheduled), and
-// the tracer forwards every observer call to the coherence oracle below it
-// (attached in Debug builds), so oracle + tracer coexist and golden
-// counters stay bit-identical with tracing on (tests/trace_test.cc).
+// the tracer forwards the five hooks the coherence oracle checks (app read,
+// app write, cc update, send, install) to the observer chained below it
+// (the oracle, attached in Debug builds), so oracle + tracer coexist, the
+// oracle checks the stream it would check alone (tests/check_test.cc,
+// Oracle.ChecksTheSameStreamUnderATracer), and golden counters stay
+// bit-identical with tracing on (tests/trace_test.cc). The other hooks have
+// no consumer below the tracer and are not forwarded; an oracle that starts
+// checking one needs its forward here.
 //
 // Presend accounting (two independent paths reconciled by
 // tests/trace_property_test.cc): every presend-installed block is pending
@@ -88,9 +94,7 @@ struct Summary {
   std::vector<PhaseTotals> phases;
 };
 
-class Tracer final : public Hooks,
-                     public mem::AccessObserver,
-                     public proto::CoherenceObserver {
+class Tracer final : public Hooks {
  public:
   Tracer(const TraceConfig& cfg, mem::GlobalSpace& space, sim::Engine* engine);
   ~Tracer();
@@ -98,18 +102,19 @@ class Tracer final : public Hooks,
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  // Observers below the tracer (the oracle, when one is attached); every
-  // hook forwards to them, so the oracle sees the exact call stream it would
-  // without tracing.
-  void chain(mem::AccessObserver* access,
-             proto::CoherenceObserver* coherence) {
-    next_access_ = access;
-    next_coherence_ = coherence;
-  }
+  // The observer below the tracer (the oracle, when one is attached; null
+  // for none). The oracle's five hooks forward to it after recording.
+  void chain(Hooks* next) { next_ = next; }
 
   const TraceConfig& config() const { return cfg_; }
 
   // ---- trace::Hooks ---------------------------------------------------------
+  void on_app_read(int node, mem::BlockId b, std::size_t off, const void* seen,
+                   std::size_t n) override;
+  void on_app_write(int node, mem::BlockId b, std::size_t off,
+                    const void* data, std::size_t n) override;
+  void on_cc_update(int node, mem::BlockId b, std::size_t off,
+                    std::int64_t delta) override;
   void on_phase_begin(int node, int phase, sim::Time t) override;
   void on_phase_ready(int node, int phase, sim::Time t) override;
   void on_phase_flush(int node, int phase, sim::Time t) override;
@@ -125,29 +130,24 @@ class Tracer final : public Hooks,
                      sim::Time t0) override;
   void on_miss_end(int node, std::uint64_t block, bool is_write,
                    sim::Time t1) override;
-  void on_msg_send(int src, int dst, std::uint8_t msg_type,
-                   std::uint64_t block, std::uint32_t count,
-                   std::uint32_t wire_bytes, sim::Time depart) override;
+  // Records the message through on_msg_send.
+  void on_send(int src, int dst, const proto::Msg& m, std::uint32_t wire_bytes,
+               sim::Time depart) override;
   void on_msg_recv(int dst, int src, std::uint8_t msg_type,
                    std::uint64_t block, std::uint32_t wire_bytes,
                    sim::Time arrival, sim::Time dispatch) override;
+  void on_install(int node, mem::BlockId b, const std::byte* data,
+                  mem::Tag tag) override;
   void on_presend_install(int node, int src, std::uint64_t block0,
                           std::uint32_t count, sim::Time t) override;
   void on_ctx_block(int node, sim::Time t) override;
   void on_ctx_resume(int node, sim::Time t) override;
 
-  // ---- mem::AccessObserver --------------------------------------------------
-  void on_app_read(int node, mem::BlockId b, std::size_t off, const void* seen,
-                   std::size_t n) override;
-  void on_app_write(int node, mem::BlockId b, std::size_t off,
-                    const void* data, std::size_t n) override;
-  void on_cc_update(int node, mem::BlockId b, std::size_t off,
-                    std::int64_t delta) override;
-
-  // ---- proto::CoherenceObserver ---------------------------------------------
-  void on_send(int src, int dst, const proto::Msg& m) override;
-  void on_install(int node, mem::BlockId b, const std::byte* data,
-                  mem::Tag tag) override;
+  // Appends one kMsgSend event: the whole of on_send's recording, callable
+  // without a Msg (host-cost probes time the append path through it).
+  void on_msg_send(int src, int dst, std::uint8_t msg_type,
+                   std::uint64_t block, std::uint32_t count,
+                   std::uint32_t wire_bytes, sim::Time depart);
 
   // ---- End of run ------------------------------------------------------------
   // Resolves still-pending presends as unused and freezes the summary.
@@ -211,8 +211,9 @@ class Tracer final : public Hooks,
   void stamp_window();
   // Resolves a pending presend on access (hit) or fault/overwrite (waste).
   void resolve_pending(int node, mem::BlockId b, bool hit, sim::Time t);
-  // Clocks for the observer hooks, which pass none: the engine's, or the
-  // node's processor's. A tracer with no engine stamps those events at 0.
+  // Clocks for the hooks that pass none (accesses, installs): the engine's,
+  // or the node's processor's. A tracer with no engine stamps those events
+  // at 0.
   sim::Time engine_now() const;
   sim::Time node_now(int node) const;
 
@@ -220,8 +221,7 @@ class Tracer final : public Hooks,
   mem::GlobalSpace& space_;
   sim::Engine* engine_;
 
-  mem::AccessObserver* next_access_ = nullptr;
-  proto::CoherenceObserver* next_coherence_ = nullptr;
+  Hooks* next_ = nullptr;
 
   // Per-node buffers and summary shards: lanes append concurrently.
   std::vector<NodeBuf> bufs_;

@@ -114,8 +114,6 @@ inline WorkloadResult run_micro_workload(runtime::ProtocolKind kind,
       static_cast<std::size_t>(nodes) * cfg.mem.page_size;
   // Write-update provides phase consistency only: writers publish their
   // dirty blocks before the barrier that separates them from the readers.
-  proto::WriteUpdateProtocol* wu = sys.writeupdate();
-
   sys.run([&](runtime::NodeCtx& c) {
     for (int r = 0; r < rounds; ++r) {
       const int writer = r % c.nodes();
@@ -126,7 +124,7 @@ inline WorkloadResult run_micro_workload(runtime::ProtocolKind kind,
             c.write<int>(base + static_cast<mem::Addr>(pg) * 4096 +
                              static_cast<mem::Addr>(b) * bsz,
                          r * 1000 + pg * 100 + b);
-        if (wu != nullptr) wu->wu_publish(c.id(), base, total_bytes);
+        c.publish(base, total_bytes);
       }
       c.barrier();
       c.phase(1);
@@ -146,7 +144,7 @@ inline WorkloadResult run_micro_workload(runtime::ProtocolKind kind,
             c.write<int>(base + static_cast<mem::Addr>(pg) * 4096 +
                              static_cast<mem::Addr>(b) * bsz,
                          -(r * 1000 + pg * 100 + b));
-        if (wu != nullptr) wu->wu_publish(c.id(), base, total_bytes);
+        c.publish(base, total_bytes);
       }
       c.barrier();
     }

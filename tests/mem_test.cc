@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "mem/global_space.h"
+#include "trace/hooks.h"
 
 namespace presto::mem {
 namespace {
@@ -171,7 +172,7 @@ TEST(GlobalSpace, SpanningReadFaultsOnlyOnItsInvalidBlock) {
 }
 
 // Records every observer call as (node, block, offset, bytes seen).
-struct RecordingObserver : AccessObserver {
+struct RecordingObserver : trace::Hooks {
   struct Call {
     bool write;
     int node;
@@ -203,11 +204,11 @@ TEST(GlobalSpace, ObserverSeesOneCallPerBlockInBlockOrder) {
   FailOnFault h;
   s.set_fault_handler(&h);
   RecordingObserver obs;
-  s.set_access_observer(&obs);
+  s.set_trace_hooks(&obs);
   const Span72 v = pattern72(17);
   s.write_value(0, a + 40, v);
   const Span72 got = s.read_value<Span72>(0, a + 40);
-  s.set_access_observer(nullptr);
+  s.set_trace_hooks(nullptr);
   // 72 bytes at page offset 40: block 1 from offset 8 (24 bytes), block 2
   // whole, block 3 up to offset 16 (16 bytes) — for the write, then the read.
   auto slice = [&](std::size_t lo, std::size_t n) {

@@ -230,11 +230,10 @@ TEST(WriteUpdate, PublishKeepsReaderCopiesFresh) {
   auto a = sys.space().alloc_on_node(0, 256);
   std::vector<std::uint64_t> faults;
   sys.run([&](NodeCtx& c) {
-    auto* wu = sys.writeupdate();
     for (int it = 0; it < 4; ++it) {
       if (c.id() == 0)
         for (int b = 0; b < 4; ++b) c.write<int>(a + b * 32, it * 10 + b);
-      wu->wu_publish(c.id(), 0, c.space().size_bytes());
+      c.publish(0, c.space().size_bytes());
       c.barrier();
       if (c.id() != 0) {
         for (int b = 0; b < 4; ++b)
@@ -253,13 +252,12 @@ TEST(WriteUpdate, RemoteWriterPublishesThroughHome) {
   System sys(tiny(4), ProtocolKind::kWriteUpdate);
   auto a = sys.space().alloc_on_node(0, 128);
   sys.run([&](NodeCtx& c) {
-    auto* wu = sys.writeupdate();
     // Reader 2 caches the block first.
     if (c.id() == 2) c.read<int>(a);
     c.barrier();
     // Writer 1 (not home) updates and publishes.
     if (c.id() == 1) c.write<int>(a, 77);
-    wu->wu_publish(c.id(), 0, c.space().size_bytes());
+    c.publish(0, c.space().size_bytes());
     c.barrier();
     // Home and the recorded reader both observe the new value locally.
     if (c.id() == 0) { EXPECT_EQ(c.read<int>(a), 77); }

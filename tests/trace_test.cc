@@ -248,8 +248,7 @@ TEST(TracerNoEngine, EveryHookThenFinalizeAndBuild) {
   m.type = proto::MsgType::GetS;
   m.src = 3;
   m.block = 5;
-  t.on_send(3, 0, m);
-  t.on_msg_send(3, 0, gets, 5, 1, 16, 18);
+  t.on_send(3, 0, m, 16, 18);
   t.on_msg_recv(0, 3, gets, 5, 16, 48, 48);
   t.on_install(3, 5, nullptr, mem::Tag::ReadOnly);
   t.on_miss_end(3, 5, /*is_write=*/false, 90);

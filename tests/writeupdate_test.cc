@@ -18,7 +18,6 @@ TEST(WriteUpdate, PublishRangeFiltersBlocks) {
   System sys(tiny(3), ProtocolKind::kWriteUpdate);
   auto a = sys.space().alloc_on_node(0, 256);
   sys.run([&](NodeCtx& c) {
-    auto* wu = sys.writeupdate();
     // Readers cache both halves of the region.
     if (c.id() != 0) {
       c.read<int>(a);
@@ -30,7 +29,7 @@ TEST(WriteUpdate, PublishRangeFiltersBlocks) {
       c.write<int>(a + 128, 2);
     }
     // Publish only the first half.
-    wu->wu_publish(c.id(), a, 128);
+    c.publish(a, 128);
     c.barrier();
     if (c.id() == 1) {
       EXPECT_EQ(c.read<int>(a), 1);        // updated
@@ -38,7 +37,7 @@ TEST(WriteUpdate, PublishRangeFiltersBlocks) {
     }
     c.barrier();
     // Publishing the rest delivers it.
-    wu->wu_publish(c.id(), a + 128, 128);
+    c.publish(a + 128, 128);
     c.barrier();
     if (c.id() == 1) { EXPECT_EQ(c.read<int>(a + 128), 2); }
   });
@@ -61,7 +60,7 @@ TEST(WriteUpdate, WriteFaultUpgradesInPlaceWithoutMessages) {
     // The home still has the old value until a publish.
     if (c.id() == 0) { EXPECT_EQ(c.read<int>(a), 0); }
     c.barrier();
-    sys.writeupdate()->wu_publish(c.id(), a, 64);
+    c.publish(a, 64);
     c.barrier();
     if (c.id() == 0) { EXPECT_EQ(c.read<int>(a), 5); }
   });
@@ -71,7 +70,6 @@ TEST(WriteUpdate, TwoWritersToDistinctBlocksBothForward) {
   System sys(tiny(4), ProtocolKind::kWriteUpdate);
   auto a = sys.space().alloc_on_node(0, 256);
   sys.run([&](NodeCtx& c) {
-    auto* wu = sys.writeupdate();
     // Node 3 caches both blocks.
     if (c.id() == 3) {
       c.read<int>(a);
@@ -80,7 +78,7 @@ TEST(WriteUpdate, TwoWritersToDistinctBlocksBothForward) {
     c.barrier();
     if (c.id() == 1) c.write<int>(a, 11);
     if (c.id() == 2) c.write<int>(a + 64, 22);
-    wu->wu_publish(c.id(), 0, c.space().size_bytes());
+    c.publish(0, c.space().size_bytes());
     c.barrier();
     if (c.id() == 3) {
       EXPECT_EQ(c.read<int>(a), 11);
@@ -99,11 +97,10 @@ TEST(WriteUpdate, ContiguousDirtyBlocksCoalesceToHome) {
   System sys(tiny(2), ProtocolKind::kWriteUpdate);
   auto a = sys.space().alloc_on_node(0, 512);
   sys.run([&](NodeCtx& c) {
-    auto* wu = sys.writeupdate();
     if (c.id() == 1)
       for (int b = 0; b < 16; ++b) c.write<int>(a + b * 32, b);
     const auto msgs_before = c.counters().wu_update_msgs;
-    wu->wu_publish(c.id(), a, 512);
+    c.publish(a, 512);
     if (c.id() == 1) {
       // 16 contiguous dirty blocks travelled in one run to the home.
       EXPECT_EQ(c.counters().wu_update_msgs, msgs_before + 1);
@@ -120,12 +117,11 @@ TEST(WriteUpdate, RepublishingUnchangedDataIsIdempotent) {
   System sys(tiny(3), ProtocolKind::kWriteUpdate);
   auto a = sys.space().alloc_on_node(0, 64);
   sys.run([&](NodeCtx& c) {
-    auto* wu = sys.writeupdate();
     if (c.id() == 2) c.read<int>(a);
     c.barrier();
     for (int round = 0; round < 3; ++round) {
       if (c.id() == 0) c.write<int>(a, round);
-      wu->wu_publish(c.id(), a, 64);
+      c.publish(a, 64);
       c.barrier();
       if (c.id() == 2) { EXPECT_EQ(c.read<int>(a), round); }
       c.barrier();
