@@ -1,7 +1,8 @@
 // Block-size sweeps beyond the old 64-node ceiling: 256/512/1024-node
 // machines running the paper's iterative producer/consumer pattern (a ring
 // of per-node blocks plus one widely-read hot block), under Stache and the
-// predictive protocol, with the optional two-level cluster directory.
+// predictive protocol, whose directories keep exact node-grain sharer sets
+// at every width.
 //
 // Two questions, per machine width and block size:
 //   * Where does predictive presend pay at scale, and where does ccached's
@@ -52,7 +53,6 @@ struct SweepPoint {
   std::uint32_t block = 0;
   const char* protocol = "";
   const char* pattern = "";
-  int cluster_nodes = 0;
   std::uint64_t exec_time = 0;  // simulated ns
   std::uint64_t msgs = 0;
   std::uint64_t bytes = 0;
@@ -89,11 +89,9 @@ double exec_ratio(const SweepPoint& a, const SweepPoint& b) {
 //     machine; under ccached they privatize into per-node logs merged at the
 //     home — the regime the commutative-update protocol targets.
 SweepPoint run_point(int nodes, std::uint32_t block, const char* pattern,
-                     runtime::ProtocolKind kind, int cluster_nodes,
-                     int rounds) {
+                     runtime::ProtocolKind kind, int rounds) {
   runtime::MachineConfig m = runtime::MachineConfig::cm5_blizzard(nodes, block);
   m.mem.page_size = 512 >= block ? 512 : block;  // spread homes; keep pages small
-  m.cluster_nodes = cluster_nodes;
   runtime::System sys(m, kind);
 
   const bool ringp = std::string_view(pattern) == "ring";
@@ -175,7 +173,6 @@ SweepPoint run_point(int nodes, std::uint32_t block, const char* pattern,
   p.block = block;
   p.protocol = runtime::protocol_kind_name(kind);
   p.pattern = pattern;
-  p.cluster_nodes = cluster_nodes;
   p.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
   p.exec_time = static_cast<std::uint64_t>(sys.exec_time());
   p.msgs = sys.recorder().sum(&stats::NodeCounters::msgs_sent);
@@ -202,7 +199,6 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const bool quick = cli.get_bool("quick");
   const int rounds = static_cast<int>(cli.get_int("rounds", quick ? 3 : 4));
-  const int cluster = static_cast<int>(cli.get_int("cluster", 16));
   const long long max_meta = cli.get_int("max-metadata-bytes", 0);
   const bool check = cli.get_bool("check");
   const std::string json_path =
@@ -222,9 +218,9 @@ int main(int argc, char** argv) {
   double reduce_max = 0.0;  // worst ccached/stache ratio on reduce
   const auto print_point = [](const SweepPoint& p) {
     std::printf(
-        "%-5s nodes=%4d block=%3u %-12s cluster=%-2d exec=%llu ns msgs=%llu "
+        "%-5s nodes=%4d block=%3u %-12s exec=%llu ns msgs=%llu "
         "faults=%llu presends=%llu meta=%zu dense_equiv=%zu wall=%.3fs\n",
-        p.pattern, p.nodes, p.block, p.protocol, p.cluster_nodes,
+        p.pattern, p.nodes, p.block, p.protocol,
         (unsigned long long)p.exec_time, (unsigned long long)p.msgs,
         (unsigned long long)p.read_faults,
         (unsigned long long)p.presend_blocks, p.metadata_bytes,
@@ -235,19 +231,11 @@ int main(int argc, char** argv) {
     for (const int nodes : widths) {
       for (const std::uint32_t block : blocks) {
         const SweepPoint st = run_point(nodes, block, pattern,
-                                        runtime::ProtocolKind::kStache, 0,
-                                        rounds);
-        const SweepPoint pr = run_point(nodes, block, pattern,
-                                        runtime::ProtocolKind::kPredictive, 0,
-                                        rounds);
-        // One coarse-directory point per (width, block) pair shows what the
-        // cluster directory buys on the same workload.
-        const SweepPoint prc = run_point(nodes, block, pattern,
-                                         runtime::ProtocolKind::kPredictive,
-                                         cluster, rounds);
+                                        runtime::ProtocolKind::kStache, rounds);
+        const SweepPoint pr = run_point(
+            nodes, block, pattern, runtime::ProtocolKind::kPredictive, rounds);
         print_point(st);
         print_point(pr);
-        print_point(prc);
         // Predictive vs Stache at this shape: where presend pays.
         const double ratio = exec_ratio(pr, st);
         std::printf("  -> predictive/stache exec ratio %.3f at %s nodes=%d "
@@ -257,7 +245,6 @@ int main(int argc, char** argv) {
           bcast_max = ratio;
         points.push_back(st);
         points.push_back(pr);
-        points.push_back(prc);
       }
     }
   }
@@ -266,11 +253,9 @@ int main(int argc, char** argv) {
   for (const int nodes : widths) {
     for (const std::uint32_t block : blocks) {
       const SweepPoint st = run_point(nodes, block, "reduce",
-                                      runtime::ProtocolKind::kStache, 0,
-                                      rounds);
+                                      runtime::ProtocolKind::kStache, rounds);
       const SweepPoint cc = run_point(nodes, block, "reduce",
-                                      runtime::ProtocolKind::kCCached, 0,
-                                      rounds);
+                                      runtime::ProtocolKind::kCCached, rounds);
       print_point(st);
       print_point(cc);
       const double ratio = exec_ratio(cc, st);
@@ -313,12 +298,12 @@ int main(int argc, char** argv) {
           f,
           "    {\"pattern\": \"%s\", \"nodes\": %d, \"block_size\": %u, "
           "\"protocol\": \"%s\", "
-          "\"cluster_nodes\": %d, \"exec_time_ns\": %llu, \"msgs\": %llu, "
+          "\"exec_time_ns\": %llu, \"msgs\": %llu, "
           "\"bytes\": %llu, \"read_faults\": %llu, \"write_faults\": %llu, "
           "\"cc_flushes\": %llu, \"presend_blocks\": %llu, "
           "\"metadata_bytes\": %zu, \"dense_equiv_bytes\": %zu, "
           "\"wall_s\": %.4f}%s\n",
-          p.pattern, p.nodes, p.block, p.protocol, p.cluster_nodes,
+          p.pattern, p.nodes, p.block, p.protocol,
           (unsigned long long)p.exec_time, (unsigned long long)p.msgs,
           (unsigned long long)p.bytes, (unsigned long long)p.read_faults,
           (unsigned long long)p.write_faults,

@@ -9,8 +9,8 @@ namespace presto::proto {
 
 CCachedProtocol::CCachedProtocol(sim::Engine& engine, net::Network& net,
                                  mem::GlobalSpace& space, stats::Recorder& rec,
-                                 const ProtoCosts& costs, int cluster_nodes)
-    : StacheProtocol(engine, net, space, rec, costs, cluster_nodes),
+                                 const ProtoCosts& costs)
+    : StacheProtocol(engine, net, space, rec, costs),
       words_per_block_(space.block_size() / 8),
       logs_(static_cast<std::size_t>(space.nodes())),
       flushq_(static_cast<std::size_t>(space.nodes())),

@@ -38,7 +38,7 @@ class CCachedProtocol : public StacheProtocol {
  public:
   CCachedProtocol(sim::Engine& engine, net::Network& net,
                   mem::GlobalSpace& space, stats::Recorder& rec,
-                  const ProtoCosts& costs, int cluster_nodes = 0);
+                  const ProtoCosts& costs);
 
   const char* name() const override { return "ccached"; }
 

@@ -12,9 +12,8 @@ PredictiveProtocol::PredictiveProtocol(sim::Engine& engine, net::Network& net,
                                        mem::GlobalSpace& space,
                                        stats::Recorder& rec,
                                        const ProtoCosts& costs,
-                                       ConflictPolicy conflicts,
-                                       int cluster_nodes)
-    : StacheProtocol(engine, net, space, rec, costs, cluster_nodes),
+                                       ConflictPolicy conflicts)
+    : StacheProtocol(engine, net, space, rec, costs),
       sched_(static_cast<std::size_t>(space.nodes())),
       cur_phase_(static_cast<std::size_t>(space.nodes()), -1),
       push_batch_(static_cast<std::size_t>(space.nodes())),
@@ -217,26 +216,15 @@ void PredictiveProtocol::do_presend(int node, int phase) {
     if (kind == Kind::kRead) {
       PRESTO_CHECK(d.state != DirEntry::S::Excl,
                    "presend read entry still exclusive after recalls");
-      // Anticipated readers (node-exact, from the schedule) minus those the
-      // directory already lists. A coarse directory can only say "this
-      // cluster may hold copies", so a marked cluster suppresses pushes to
-      // all its members — they fault in the worst case; correctness never
-      // depends on a presend.
+      // Anticipated readers (from the schedule) minus those the directory
+      // already lists.
       util::NodeSet targets = e.readers.without(node);
-      if (coarse_dir()) {
-        util::NodeSet uncovered;
-        targets.for_each([&](int t) {
-          if (!d.readers.test(sharer_id(t))) uncovered.set(t);
-        });
-        targets = std::move(uncovered);
-      } else {
-        targets.subtract(d.readers);
-      }
+      targets.subtract(d.readers);
       targets.for_each([&](int t) {
         push.push_back(batch_item(t, b, mem::Tag::ReadOnly));
       });
       if (targets.any()) {
-        targets.for_each([&](int t) { d.readers.set(sharer_id(t)); });
+        targets.for_each([&](int t) { d.readers.set(t); });
         d.state = DirEntry::S::Shared;
         if (space_.tag(node, b) == mem::Tag::ReadWrite)
           space_.set_tag(node, b, mem::Tag::ReadOnly);
@@ -245,7 +233,7 @@ void PredictiveProtocol::do_presend(int node, int phase) {
       if (writer == node) {
         // Pre-invalidate remote copies so the home's writes do not stall.
         if (d.state == DirEntry::S::Shared) {
-          for_each_sharer_target(d.readers, node, -1, [&](int t) {
+          for_each_sharer(d.readers, node, -1, [&](int t) {
             inv.push_back(batch_item(t, b, mem::Tag::Invalid));
           });
           d.readers.clear();
@@ -254,7 +242,7 @@ void PredictiveProtocol::do_presend(int node, int phase) {
         }
       } else {
         if (d.state == DirEntry::S::Excl) continue;  // owner == writer
-        for_each_sharer_target(d.readers, writer, node, [&](int t) {
+        for_each_sharer(d.readers, writer, node, [&](int t) {
           inv.push_back(batch_item(t, b, mem::Tag::Invalid));
         });
         push.push_back(batch_item(writer, b, mem::Tag::ReadWrite));
@@ -303,7 +291,6 @@ void PredictiveProtocol::send_bulk_runs(int node, int target,
                                         bool invalidate) {
   auto& p = proc(node);
   auto& c = rec_.node(node);
-  const std::size_t bsz = space_.block_size();
 
   std::size_t i = 0;
   while (i < count_items) {
@@ -323,16 +310,10 @@ void PredictiveProtocol::send_bulk_runs(int node, int target,
     m.count = count;
     m.tag = static_cast<std::uint8_t>(items[i].tag);
     if (!invalidate) {
-      // Runs can straddle page frames, so gather into the node's scratch.
       // The snapshot is taken before the charge() yield, as a send buffer
       // filled by the handler would be; nothing else writes this node's
       // scratch while its thread is parked in charge().
-      std::byte* buf = scratch(node, count * bsz);
-      for (std::uint32_t k = 0; k < count; ++k)
-        std::memcpy(buf + k * bsz,
-                    space_.block_data(node, items[i].block + k), bsz);
-      m.data = buf;
-      m.data_len = count * static_cast<std::uint32_t>(bsz);
+      gather_run(node, m);
       c.presend_blocks_sent += count;
     } else {
       c.presend_inv_blocks += count;

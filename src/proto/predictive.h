@@ -14,7 +14,7 @@
 //  2. *Presend.* At phase_begin(p) every node walks the phase-p entries for
 //     blocks it homes and executes the anticipated transactions early:
 //       - Read-marked blocks: recall dirty data, then forward ReadOnly
-//         copies to all recorded readers.
+//         copies to the recorded readers the directory does not list yet.
 //       - Write-marked blocks: invalidate other copies and forward a
 //         ReadWrite copy to the recorded writer (pre-invalidation when the
 //         writer is the home itself).
@@ -39,15 +39,10 @@ enum class ConflictPolicy {
 
 class PredictiveProtocol : public StacheProtocol {
  public:
-  // cluster_nodes: see StacheProtocol — coarsens the *directory* sharer
-  // sets; the recorded schedules stay node-exact (they drive presends, and
-  // a presend to a node that never asked is pure waste, so coarsening them
-  // would defeat the point).
   PredictiveProtocol(sim::Engine& engine, net::Network& net,
                      mem::GlobalSpace& space, stats::Recorder& rec,
                      const ProtoCosts& costs,
-                     ConflictPolicy conflicts = ConflictPolicy::kSkip,
-                     int cluster_nodes = 0);
+                     ConflictPolicy conflicts = ConflictPolicy::kSkip);
 
   const char* name() const override { return "predictive"; }
 

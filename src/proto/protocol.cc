@@ -57,7 +57,13 @@ std::size_t Protocol::metadata_bytes() const {
 long Protocol::trace_block() {
   static const long b = [] {
     const char* v = std::getenv("PRESTO_STACHE_TRACE");
-    return v == nullptr ? -1L : std::strtol(v, nullptr, 10);
+    if (v == nullptr) return -1L;
+    char* end = nullptr;
+    const long id = std::strtol(v, &end, 10);
+    PRESTO_CHECK(v[0] != '\0' && end != nullptr && *end == '\0' && id >= 0,
+                 "PRESTO_STACHE_TRACE: expected a non-negative integer, got '"
+                     << v << "'");
+    return id;
   }();
   return b;
 }
@@ -69,6 +75,15 @@ void Protocol::cc_add(int node, mem::Addr a, std::int64_t delta) {
     v += delta;
     std::memcpy(p, &v, sizeof(v));
   });
+}
+
+void Protocol::gather_run(int node, Msg& m) {
+  const std::size_t bsz = space_.block_size();
+  std::byte* buf = scratch(node, m.count * bsz);
+  for (std::uint32_t k = 0; k < m.count; ++k)
+    std::memcpy(buf + k * bsz, space_.block_data(node, m.block + k), bsz);
+  m.data = buf;
+  m.data_len = m.count * static_cast<std::uint32_t>(bsz);
 }
 
 void Protocol::install() {

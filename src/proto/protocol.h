@@ -179,6 +179,10 @@ class Protocol : public net::Network::MsgSink, public mem::FaultHandler {
     if (s.size() < n) s.resize(n);
     return s.data();
   }
+  // Points m's payload at node's copies of the m.count consecutive blocks
+  // from m.block. A run can straddle page frames, so it is gathered into
+  // the node's scratch.
+  void gather_run(int node, Msg& m);
 
   sim::Processor& proc(int node) { return engine_.processor(node); }
 
@@ -225,7 +229,8 @@ class Protocol : public net::Network::MsgSink, public mem::FaultHandler {
   }
 
   // PRESTO_STACHE_TRACE=<block id>: the block whose protocol events are
-  // logged to stderr (-1 when unset).
+  // logged to stderr (-1 when unset). Any value but a non-negative integer
+  // aborts, naming the value.
   static long trace_block();
 
   // Installs a block copy (or permission change) at a node and wakes its

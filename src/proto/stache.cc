@@ -18,14 +18,10 @@ namespace presto::proto {
 
 StacheProtocol::StacheProtocol(sim::Engine& engine, net::Network& net,
                                mem::GlobalSpace& space, stats::Recorder& rec,
-                               const ProtoCosts& costs, int cluster_nodes)
+                               const ProtoCosts& costs)
     : Protocol(engine, net, space, rec, costs),
       dir_(static_cast<std::size_t>(space.nodes())),
-      cluster_(cluster_nodes),
       pend_(static_cast<std::size_t>(space.nodes())) {
-  PRESTO_CHECK(cluster_nodes >= 0 && cluster_nodes <= space.nodes(),
-               "cluster size " << cluster_nodes << " on a " << space.nodes()
-                               << "-node machine");
   const std::uint32_t bpp = space.page_size() / space.block_size();
   for (auto& t : dir_) t.configure(bpp);
 }
@@ -99,13 +95,13 @@ std::size_t StacheProtocol::check_invariants() const {
                        "Shared block " << b << ": home tag wrong");
           PRESTO_CHECK(d.readers.any(),
                        "Shared block " << b << " with no readers");
+          PRESTO_CHECK(!d.readers.test(h),
+                       "Shared block " << b << " lists its home " << h);
           for (int n = 0; n < space_.nodes(); ++n) {
             if (n == h) continue;
-            const bool listed = d.readers.test(sharer_id(n));
+            const bool listed = d.readers.test(n);
             const mem::Tag t = space_.tag(n, b);
-            // Exact sets agree with the tags both ways; a coarse cluster bit
-            // only bounds its members from above (a member may hold no copy).
-            PRESTO_CHECK(listed ? (coarse_dir() || t == mem::Tag::ReadOnly)
+            PRESTO_CHECK(listed ? t == mem::Tag::ReadOnly
                                 : t == mem::Tag::Invalid,
                          "Shared block " << b << ": node " << n << " tag "
                                          << static_cast<int>(t)
@@ -241,7 +237,7 @@ void StacheProtocol::take_recalled(int home, const Msg& m, DirEntry& d) {
     space_.set_tag(home, m.block, mem::Tag::ReadWrite);
   } else {
     // RecallS: the owner downgraded to a reader.
-    d.readers.set(sharer_id(d.owner));
+    d.readers.set(d.owner);
     d.owner = -1;
     d.state = DirEntry::S::Shared;
     space_.set_tag(home, m.block, mem::Tag::ReadOnly);
@@ -288,11 +284,8 @@ void StacheProtocol::start_request(int home, mem::BlockId b, int requester,
       complete_getx(home, b, requester);
       return;
     case DirEntry::S::Shared: {
-      // Exact mode: invalidate the listed readers minus the requester (home
-      // is never listed). Coarse mode: conservative fan-out to every member
-      // of every marked cluster except home and requester.
       int acks = 0;
-      for_each_sharer_target(d.readers, requester, home, [&](int) { ++acks; });
+      for_each_sharer(d.readers, requester, home, [&](int) { ++acks; });
       if (acks == 0) {
         // Sole-reader upgrade.
         complete_getx(home, b, requester);
@@ -302,7 +295,7 @@ void StacheProtocol::start_request(int home, mem::BlockId b, int requester,
       d.req_node = requester;
       d.req_write = true;
       d.acks_needed = acks;
-      for_each_sharer_target(d.readers, requester, home, [&](int n) {
+      for_each_sharer(d.readers, requester, home, [&](int n) {
         Msg r;
         r.type = MsgType::Inv;
         r.src = home;
@@ -345,7 +338,7 @@ void StacheProtocol::grant(int home, mem::BlockId b, int requester,
 void StacheProtocol::complete_gets(int home, mem::BlockId b, int requester) {
   auto& d = dir(home, b);
   if (requester != home) {
-    d.readers.set(sharer_id(requester));
+    d.readers.set(requester);
     d.state = DirEntry::S::Shared;
     // The home's own copy drops to ReadOnly so its future writes fault.
     if (space_.tag(home, b) == mem::Tag::ReadWrite)

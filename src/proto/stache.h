@@ -9,6 +9,10 @@
 //   Shared  — remote ReadOnly copies in `readers`; home tag is ReadOnly.
 //   Excl    — a single remote ReadWrite `owner`; home tag is Invalid.
 //
+// Sharer sets are exact and node-grained, as in the paper: `readers` lists
+// exactly the remote nodes holding a ReadOnly copy and never the home, so
+// an invalidation round reaches only nodes that hold the block.
+//
 // The four-message producer-consumer pattern of §3.2 falls out directly:
 // consumer GetS -> home RecallS -> producer RecallAckData -> home DataS.
 //
@@ -34,18 +38,9 @@ namespace presto::proto {
 
 class StacheProtocol : public Protocol {
  public:
-  // cluster_nodes > 1 turns on the two-level cluster directory: directory
-  // sharer sets track clusters of cluster_nodes consecutive nodes instead of
-  // individual nodes (the coarse-vector organization), shrinking per-entry
-  // metadata by that factor at scale. Invalidations conservatively fan out
-  // to every member of a marked cluster — an Inv at a node without a copy
-  // is harmless (the tag is already Invalid and the ack still counts), it
-  // just costs extra messages; the scale benchmarks measure where the
-  // metadata saving beats that overhead. 0 (the default) keeps exact
-  // node-grain sets and is bit-identical to the pre-cluster protocol.
   StacheProtocol(sim::Engine& engine, net::Network& net,
                  mem::GlobalSpace& space, stats::Recorder& rec,
-                 const ProtoCosts& costs, int cluster_nodes = 0);
+                 const ProtoCosts& costs);
 
   const char* name() const override { return "stache"; }
 
@@ -54,7 +49,8 @@ class StacheProtocol : public Protocol {
   // Debug validator: asserts the directory and every node's access tags
   // agree for all quiescent (non-busy) blocks —
   //   Idle:    home ReadWrite, everyone else Invalid;
-  //   Shared:  home ReadOnly, remote tags ReadOnly exactly on `readers`;
+  //   Shared:  home ReadOnly and not listed, remote tags ReadOnly exactly on
+  //            `readers`;
   //   Excl:    owner ReadWrite, everyone else (incl. home) Invalid.
   // Call at barrier-aligned points (no transactions in flight). Aborts on
   // violation; returns the number of directory entries checked.
@@ -75,7 +71,7 @@ class StacheProtocol : public Protocol {
     std::int32_t owner = -1;     // remote ReadWrite owner when Excl
     std::int32_t req_node = -1;
     std::int32_t acks_needed = 0;
-    util::NodeSet readers;       // remote ReadOnly copies
+    util::NodeSet readers;       // exactly the remote ReadOnly copies
     // Pooled FIFO chain of queued (requester, is_write) requests.
     std::uint32_t pend_head = kNoPend;
     std::uint32_t pend_tail = kNoPend;
@@ -134,31 +130,15 @@ class StacheProtocol : public Protocol {
     (void)is_write;
   }
 
-  // ---- Cluster directory (two-level sharer tracking) -----------------------
-  bool coarse_dir() const { return cluster_ > 1; }
-  // The bit a sharing `node` occupies in a directory sharer set.
-  int sharer_id(int node) const {
-    return cluster_ > 1 ? node / cluster_ : node;
-  }
-  // Expands a directory sharer set into the target nodes an invalidation or
-  // push must reach, ascending, skipping skip_a/skip_b (typically requester
-  // and home). Exact mode visits the members themselves; coarse mode visits
-  // every node of every marked cluster — the conservative fan-out.
+  // Visits the members of a directory sharer set, ascending, skipping
+  // skip_a and skip_b (typically requester and home). It walks the stored
+  // set in place; a copy that dropped a spilled member would run the
+  // NodeSet's spill shrink on the invalidation path.
   template <typename Fn>
-  void for_each_sharer_target(const util::NodeSet& s, int skip_a, int skip_b,
-                              Fn&& fn) const {
-    if (cluster_ <= 1) {
-      s.for_each([&](int n) {
-        if (n != skip_a && n != skip_b) fn(n);
-      });
-      return;
-    }
-    s.for_each([&](int cl) {
-      const int lo = cl * cluster_;
-      int hi = lo + cluster_;
-      if (hi > space_.nodes()) hi = space_.nodes();
-      for (int n = lo; n < hi; ++n)
-        if (n != skip_a && n != skip_b) fn(n);
+  static void for_each_sharer(const util::NodeSet& s, int skip_a, int skip_b,
+                              Fn&& fn) {
+    s.for_each([&](int n) {
+      if (n != skip_a && n != skip_b) fn(n);
     });
   }
 
@@ -166,7 +146,6 @@ class StacheProtocol : public Protocol {
   std::vector<util::BlockTable<DirEntry>> dir_;
 
  private:
-  const int cluster_;  // nodes per directory cluster; <= 1 = exact sets
   struct PendNode {
     std::int32_t node = -1;
     bool is_write = false;

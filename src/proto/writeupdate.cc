@@ -95,21 +95,15 @@ void WriteUpdateProtocol::on_fault(int node, mem::BlockId b, bool is_write) {
 void WriteUpdateProtocol::send_update_run(int src, int dst, mem::BlockId b0,
                                           std::uint32_t count,
                                           std::uint64_t token, bool from_app) {
-  const std::size_t bsz = space_.block_size();
   Msg m;
   m.type = MsgType::UpdateData;
   m.src = src;
   m.block = b0;
   m.count = count;
   m.token = token;
-  // Runs can straddle page frames, so gather into the node's scratch. The
-  // callers (publish and forward_run) send immediately with no yield
-  // between this fill and the ring copy in post().
-  std::byte* buf = scratch(src, count * bsz);
-  for (std::uint32_t k = 0; k < count; ++k)
-    std::memcpy(buf + k * bsz, space_.block_data(src, b0 + k), bsz);
-  m.data = buf;
-  m.data_len = count * static_cast<std::uint32_t>(bsz);
+  // The callers (publish and forward_run) send immediately, with no yield
+  // between this gather and the ring copy in post().
+  gather_run(src, m);
   auto& c = rec_.node(src);
   ++c.wu_update_msgs;
   c.wu_update_blocks += count;

@@ -25,13 +25,6 @@ struct MachineConfig {
   mem::MemConfig mem;
   net::NetConfig net;
   proto::ProtoCosts costs;
-  // Two-level cluster directory for Stache/predictive (proto/stache.h):
-  // directory sharer sets track clusters of this many consecutive nodes;
-  // invalidations conservatively fan out to whole clusters. 0 (default)
-  // keeps exact node-grain sets — required for bit-identity with every
-  // pinned golden result. Ignored by write-update (its reader sets drive
-  // data pushes, which must stay exact).
-  int cluster_nodes = 0;
 
   sim::Time access_check = 60;  // software fine-grain tag check per access
   sim::Time flop = 30;          // one floating-point op (~33 MHz + FPU)

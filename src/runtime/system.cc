@@ -78,17 +78,17 @@ System::System(const MachineConfig& cfg, ProtocolKind kind)
   switch (kind) {
     case ProtocolKind::kStache:
       protocol_ = std::make_unique<proto::StacheProtocol>(
-          engine_, *net_, *space_, rec_, cfg.costs, cfg.cluster_nodes);
+          engine_, *net_, *space_, rec_, cfg.costs);
       break;
     case ProtocolKind::kPredictive:
       protocol_ = std::make_unique<proto::PredictiveProtocol>(
           engine_, *net_, *space_, rec_, cfg.costs,
-          proto::ConflictPolicy::kSkip, cfg.cluster_nodes);
+          proto::ConflictPolicy::kSkip);
       break;
     case ProtocolKind::kPredictiveAnticipate:
       protocol_ = std::make_unique<proto::PredictiveProtocol>(
           engine_, *net_, *space_, rec_, cfg.costs,
-          proto::ConflictPolicy::kAnticipate, cfg.cluster_nodes);
+          proto::ConflictPolicy::kAnticipate);
       break;
     case ProtocolKind::kWriteUpdate:
       protocol_ = std::make_unique<proto::WriteUpdateProtocol>(
@@ -96,7 +96,7 @@ System::System(const MachineConfig& cfg, ProtocolKind kind)
       break;
     case ProtocolKind::kCCached:
       protocol_ = std::make_unique<proto::CCachedProtocol>(
-          engine_, *net_, *space_, rec_, cfg.costs, cfg.cluster_nodes);
+          engine_, *net_, *space_, rec_, cfg.costs);
       break;
   }
   protocol_->install();

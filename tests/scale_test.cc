@@ -1,12 +1,16 @@
-// Positive smoke tests above the historical 64-node ceiling: the hybrid
-// NodeSet, chunked tag storage, and sparse channel tables let the same
-// protocols run on 256+-node machines. These are correctness smokes, not
-// goldens (the <= 64-node golden pins stay the bit-identity anchor); the
+// Tests above the historical 64-node ceiling: the hybrid NodeSet, chunked
+// tag storage, and sparse channel tables let the same protocols run on
+// 256+-node machines. Scale.WidePatternPins pins three short sharing
+// patterns at 256 nodes, where directory sharer sets spill past the
+// NodeSet's inline word; the other cases are correctness smokes. The
 // wide-machine cost curves live in bench/scale_sweep.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdio>
+#include <string>
 
+#include "golden_workload.h"
 #include "mem/global_space.h"
 #include "runtime/system.h"
 
@@ -21,6 +25,142 @@ MachineConfig wide(int nodes, std::uint32_t block = 32) {
 
 std::size_t metadata_bytes(System& sys) {
   return sys.protocol().metadata_bytes() + sys.network().metadata_bytes();
+}
+
+// bench/scale_sweep's three patterns, short: 256 nodes, 32-byte blocks,
+// 3 rounds, phase directives around each half-round. 32 readers spread
+// across the machine (every 8th node) make every widely-shared directory
+// entry and schedule entry spill past the inline word.
+//   ring   — every node writes its own block, reads its two ring
+//            predecessors' blocks, and the readers read node 0's hot block;
+//   bcast  — node 0 rewrites a 16-block region the readers then read;
+//   reduce — every node adds into a 16-block commutative region homed on
+//            node 0, flushes, and the readers read the totals.
+enum class Pattern { kRing, kBcast, kReduce };
+constexpr const char* kPatternNames[] = {"ring", "bcast", "reduce"};
+
+testutil::WorkloadResult run_wide_pattern(Pattern pat, ProtocolKind kind) {
+  constexpr int kNodes = 256;
+  constexpr int kRounds = 3;
+  constexpr int kRegion = 16;           // blocks in bcast/reduce's region
+  constexpr int kStride = kNodes / 32;  // every kStride-th node reads
+  constexpr std::uint32_t kBlock = 32;
+  const MachineConfig m = wide(kNodes, kBlock);
+  System sys(m, kind);
+  const std::uint32_t bpp = m.mem.page_size / kBlock;
+  const mem::Addr ring =
+      pat == Pattern::kRing
+          ? sys.space().alloc(kNodes * kBlock,
+                              [&](mem::PageId p) {
+                                return static_cast<int>((p * bpp) % kNodes);
+                              })
+          : 0;
+  const mem::Addr hot = sys.space().alloc_on_node(
+      0, (pat == Pattern::kRing ? 1 : kRegion) * kBlock);
+  if (pat == Pattern::kReduce)
+    sys.space().set_commutative(hot, kRegion * kBlock);
+  const auto blk = [&](mem::Addr base, int i) {
+    return base + static_cast<mem::Addr>(i) * kBlock;
+  };
+  sys.run([&](NodeCtx& c) {
+    const int id = c.id();
+    const bool reader = id % kStride == 1;
+    for (int r = 0; r < kRounds; ++r) {
+      c.phase(0);
+      if (pat == Pattern::kRing) {
+        c.write<int>(blk(ring, id), r * kNodes + id);
+        if (id == 0) c.write<int>(hot, r + 1);
+      } else if (pat == Pattern::kBcast) {
+        if (id == 0)
+          for (int b = 0; b < kRegion; ++b)
+            c.write<int>(blk(hot, b), r * 100 + b);
+      } else {
+        for (int b = 0; b < kRegion; ++b) c.cc_add(blk(hot, b), 1);
+        c.cc_flush();
+      }
+      c.barrier();
+      c.phase(1);
+      if (pat == Pattern::kRing) {
+        for (int d = 1; d <= 2; ++d) {
+          const int src = (id + kNodes - d) % kNodes;
+          EXPECT_EQ(c.read<int>(blk(ring, src)), r * kNodes + src);
+        }
+        if (reader) {
+          EXPECT_EQ(c.read<int>(hot), r + 1);
+        }
+      } else if (reader) {
+        for (int b = 0; b < kRegion; ++b) {
+          if (pat == Pattern::kBcast) {
+            EXPECT_EQ(c.read<int>(blk(hot, b)), r * 100 + b);
+          } else {
+            EXPECT_EQ(c.read<std::int64_t>(blk(hot, b)),
+                      std::int64_t{r + 1} * kNodes);
+          }
+        }
+      }
+      c.barrier();
+    }
+  });
+  return testutil::collect_result(sys);
+}
+
+struct WidePin {
+  Pattern pattern;
+  ProtocolKind kind;
+  sim::Time exec;
+  std::uint64_t msgs, bytes, faults, presend_blocks, mem_hash;
+};
+
+// Captured while the opt-in two-level cluster directory still stood beside
+// the exact one; its deletion moved none of them (CHANGES.md). Any drift
+// means the simulated behaviour of a wide machine changed.
+constexpr WidePin kWidePins[] = {
+    {Pattern::kRing, ProtocolKind::kStache,
+     6899160, 8354ull, 231968ull, 2386ull, 0ull, 0xf56f1b2564c9b90full},
+    {Pattern::kRing, ProtocolKind::kPredictive,
+     6378920, 6449ull, 201488ull, 801ull, 1568ull, 0xf56f1b2564c9b90full},
+    {Pattern::kRing, ProtocolKind::kCCached,
+     6899160, 8354ull, 231968ull, 2386ull, 0ull, 0xf56f1b2564c9b90full},
+    {Pattern::kBcast, ProtocolKind::kStache,
+     42169660, 5152ull, 131584ull, 1568ull, 0ull, 0xcaf478af5d54a0c3ull},
+    {Pattern::kBcast, ProtocolKind::kPredictive,
+     19117460, 2256ull, 85248ull, 528ull, 1024ull, 0xcaf478af5d54a0c3ull},
+    {Pattern::kBcast, ProtocolKind::kCCached,
+     42169660, 5152ull, 131584ull, 1568ull, 0ull, 0xcaf478af5d54a0c3ull},
+    {Pattern::kReduce, ProtocolKind::kStache,
+     409836980, 54176ull, 1699328ull, 13808ull, 0ull, 0x448c36a87173ddf3ull},
+    {Pattern::kReduce, ProtocolKind::kPredictive,
+     395048660, 52256ull, 1668608ull, 12784ull, 1024ull, 0x448c36a87173ddf3ull},
+    {Pattern::kReduce, ProtocolKind::kCCached,
+     225614460, 29696ull, 720896ull, 1536ull, 0ull, 0xfafeaa1e61bf6863ull},
+};
+
+TEST(Scale, WidePatternPins) {
+  for (const WidePin& pin : kWidePins) {
+    SCOPED_TRACE(std::string(kPatternNames[static_cast<int>(pin.pattern)]) +
+                 " under " + protocol_kind_name(pin.kind));
+    const testutil::WorkloadResult r = run_wide_pattern(pin.pattern, pin.kind);
+    std::uint64_t presend = 0;
+    for (const auto& c : r.counters) presend += c.presend_blocks_received;
+    const std::uint64_t faults = testutil::total_faults(r);
+    EXPECT_EQ(r.exec, pin.exec);
+    EXPECT_EQ(r.msgs, pin.msgs);
+    EXPECT_EQ(r.bytes, pin.bytes);
+    EXPECT_EQ(faults, pin.faults);
+    EXPECT_EQ(presend, pin.presend_blocks);
+    EXPECT_EQ(r.mem_hash, pin.mem_hash);
+    // On mismatch, print the actual row so the pin can be inspected.
+    if (r.exec != pin.exec || r.msgs != pin.msgs || r.bytes != pin.bytes ||
+        faults != pin.faults || presend != pin.presend_blocks ||
+        r.mem_hash != pin.mem_hash) {
+      std::printf("ACTUAL: %lld, %lluull, %lluull, %lluull, %lluull, "
+                  "0x%016llxull\n",
+                  (long long)r.exec, (unsigned long long)r.msgs,
+                  (unsigned long long)r.bytes, (unsigned long long)faults,
+                  (unsigned long long)presend,
+                  (unsigned long long)r.mem_hash);
+    }
+  }
 }
 
 TEST(Scale, Stache256NodeInvalidateSpilledSharers) {
@@ -72,36 +212,26 @@ TEST(Scale, Predictive256NodeIterativePresend) {
   EXPECT_LT(sys.recorder().node(255).read_faults, 4u);
 }
 
-TEST(Scale, ClusterDirectoryMatchesExactValues) {
-  // The coarse two-level directory is a conservative over-approximation:
-  // program-visible values match the exact directory; sharer metadata for a
-  // widely-shared block tracks clusters instead of 200+ individual nodes.
-  auto run = [](int cluster_nodes, std::size_t* meta) {
-    MachineConfig m = wide(256);
-    m.cluster_nodes = cluster_nodes;
-    System sys(m, ProtocolKind::kStache);
-    const auto a = sys.space().alloc_on_node(0, 64);
-    long long sum = 0;
-    sys.run([&](NodeCtx& c) {
-      for (int it = 0; it < 3; ++it) {
-        if (c.id() == 0) c.write<int>(a, it + 1);
-        c.barrier();
-        const int v = c.read<int>(a);
-        EXPECT_EQ(v, it + 1);
-        c.barrier();
-        if (c.id() == 0) sum += v;
-      }
-    });
-    *meta = sys.protocol().metadata_bytes();
-    return sum;
-  };
-  std::size_t exact_meta = 0, coarse_meta = 0;
-  const long long exact = run(0, &exact_meta);
-  const long long coarse = run(16, &coarse_meta);
-  EXPECT_EQ(exact, coarse);
-  // 256 sharers collapse to 16 clusters: the directory entry stays inline
-  // instead of spilling, so the coarse directory holds strictly less.
-  EXPECT_LT(coarse_meta, exact_meta);
+TEST(Scale, Stache256NodeEveryNodeReadsOneBlock) {
+  // All 256 nodes read one block for 3 rounds: its directory entry lists
+  // 255 sharers, spilled past the inline word, and every rewrite
+  // invalidates all of them.
+  System sys(wide(256), ProtocolKind::kStache);
+  const auto a = sys.space().alloc_on_node(0, 64);
+  long long sum = 0;
+  sys.run([&](NodeCtx& c) {
+    for (int it = 0; it < 3; ++it) {
+      if (c.id() == 0) c.write<int>(a, it + 1);
+      c.barrier();
+      const int v = c.read<int>(a);
+      EXPECT_EQ(v, it + 1);
+      c.barrier();
+      if (c.id() == 0) sum += v;
+    }
+  });
+  EXPECT_EQ(sum, 6);
+  // Each remote node fetched the block once per round.
+  EXPECT_EQ(sys.recorder().node(255).read_faults, 3u);
 }
 
 TEST(Scale, MetadataStaysSubQuadraticIn1024NodeRun) {
