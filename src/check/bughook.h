@@ -71,4 +71,18 @@ BugHooks& bug_hooks();
 // Maps a bug name to the corresponding flag; aborts on unknown names.
 void set_bug_hook(const char* name, bool on);
 
+// Plants one bug for a scope (teeth tests).
+class ScopedBugHook {
+ public:
+  explicit ScopedBugHook(const char* name) : name_(name) {
+    set_bug_hook(name, true);
+  }
+  ~ScopedBugHook() { set_bug_hook(name_, false); }
+  ScopedBugHook(const ScopedBugHook&) = delete;
+  ScopedBugHook& operator=(const ScopedBugHook&) = delete;
+
+ private:
+  const char* name_;
+};
+
 }  // namespace presto::check

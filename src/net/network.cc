@@ -13,6 +13,10 @@ Network::Network(sim::Engine& engine, int nodes, const NetConfig& cfg)
       inboxes_(static_cast<std::size_t>(nodes)),
       pools_(engine.workers() > 1 ? static_cast<std::size_t>(nodes) : 1),
       pool_mask_(engine.workers() > 1 ? ~std::size_t{0} : 0) {
+  for (int n = 0; n < nodes_; ++n) {
+    inboxes_[static_cast<std::size_t>(n)].net = this;
+    inboxes_[static_cast<std::size_t>(n)].dst = n;
+  }
   if (engine_.windowed()) {
     PRESTO_CHECK(engine_.window() <= min_latency(),
                  "window width " << engine_.window()
@@ -47,7 +51,10 @@ Network::Channel& Network::open_channel(int src, int dst) {
     s = ++sc.count;
   }
   const std::uint32_t idx = s - 1;
-  return sc.chunks[idx / kChannelChunk][idx % kChannelChunk];
+  Channel& ch = sc.chunks[idx / kChannelChunk][idx % kChannelChunk];
+  ch.net = this;
+  ch.dst = dst;
+  return ch;
 }
 
 std::size_t Network::metadata_bytes() const {
@@ -95,19 +102,24 @@ sim::Time Network::route(Channel& ch, int src, int dst, std::size_t bytes,
   return arrival;
 }
 
-void Network::schedule_delivery(Channel& ch, int dst, RecordRing::Pos next) {
+void Network::schedule_delivery(Channel& ch, RecordRing::Pos next) {
   ch.next = next;
   const Record& r = next.rec();
-  engine_.schedule_key(engine_.lane_of(dst),
-                       sim::Engine::EventKey{r.t, r.seq},
-                       [this, ch = &ch, dst] { deliver(*ch, dst); });
+  engine_.post_key(engine_.lane_of(ch.dst), sim::Engine::EventKey{r.t, r.seq},
+                   &Network::deliver_event, &ch);
 }
 
-void Network::deliver(Channel& ch, int dst) {
+void Network::deliver_event(void* channel) {
+  auto& ch = *static_cast<Channel*>(channel);
+  ch.net->deliver(ch);
+}
+
+void Network::deliver(Channel& ch) {
+  const int dst = ch.dst;
   const RecordRing::Pos at = ch.next;
   Record& r = at.rec();
   if (const RecordRing::Pos nx = ch.ring.next(at))
-    schedule_delivery(ch, dst, nx);
+    schedule_delivery(ch, nx);
   else
     ch.next = RecordRing::Pos{};
   // The record waits in its channel; its header now carries its dispatch key.
@@ -117,29 +129,32 @@ void Network::deliver(Channel& ch, int dst) {
   r.seq = k.seq;
   Inbox& in = inboxes_[static_cast<std::size_t>(dst)];
   in.push(&ch);
-  if (in.size == 1) schedule_dispatch(dst, r);
+  if (in.size == 1) schedule_dispatch(in, r);
 }
 
-void Network::schedule_dispatch(int dst, const Record& r) {
-  engine_.schedule_key(engine_.lane_of(dst),
-                       sim::Engine::EventKey{r.t, r.seq},
-                       [this, dst] { dispatch(dst); });
+void Network::schedule_dispatch(Inbox& in, const Record& r) {
+  engine_.post_key(engine_.lane_of(in.dst), sim::Engine::EventKey{r.t, r.seq},
+                   &Network::dispatch_event, &in);
 }
 
-void Network::dispatch(int dst) {
-  Inbox& in = inboxes_[static_cast<std::size_t>(dst)];
+void Network::dispatch_event(void* inbox) {
+  auto& in = *static_cast<Inbox*>(inbox);
+  in.net->dispatch(in);
+}
+
+void Network::dispatch(Inbox& in) {
   Channel& ch = *in.front();
   // The handler reads the record in place: pushes never move queued bytes,
   // and nothing pops this channel until the handler returns.
   const Record& r = ch.ring.front();
-  sink_->on_msg(dst, r.bytes(), r.len);
-  pop_front(ch, dst);
+  sink_->on_msg(in.dst, r.bytes(), r.len);
+  pop_front(ch);
   in.pop();
-  if (in.size != 0) schedule_dispatch(dst, in.front()->ring.front());
+  if (in.size != 0) schedule_dispatch(in, in.front()->ring.front());
 }
 
-void Network::pop_front(Channel& ch, int dst) {
-  const int lane = engine_.lane_of(dst);
+void Network::pop_front(Channel& ch) {
+  const int lane = engine_.lane_of(ch.dst);
   ch.ring.pop(pool(lane));
   if (ch.ring.empty() && !ch.drained && !drained_.empty()) {
     ch.drained = true;
@@ -174,7 +189,7 @@ sim::Time Network::send_msg(int src, int dst, std::size_t wire_bytes,
   const RecordRing::Pos at =
       ch.ring.push(pool(engine_.lane_of(src)), k.t, k.seq, header,
                    header_len, payload, payload_len);
-  if (!ch.next) schedule_delivery(ch, dst, at);
+  if (!ch.next) schedule_delivery(ch, at);
   return arrival;
 }
 
@@ -205,18 +220,23 @@ void Network::flush_staged() {
       st.ch->last_arrival += engine_.window();
     }
   }
-  for (auto& list : staged_) {
+  // Only a lane this window drained can have staged a send or drained a
+  // ring; the list is ascending, so sources flush in order.
+  const std::vector<int>& lanes = engine_.window_lanes();
+  for (const int src : lanes) {
+    auto& list = staged_[static_cast<std::size_t>(src)];
     for (const Staged& st : list) flush_entry(st);
     list.clear();
   }
   // Rings that drained this window and received nothing since hand their
   // last chunk back.
-  for (std::size_t lane = 0; lane < drained_.size(); ++lane) {
-    for (Channel* ch : drained_[lane]) {
+  for (const int lane : lanes) {
+    auto& list = drained_[static_cast<std::size_t>(lane)];
+    for (Channel* ch : list) {
       ch->drained = false;
-      if (ch->ring.idle()) ch->ring.release(pools_[lane & pool_mask_]);
+      if (ch->ring.idle()) ch->ring.release(pool(lane));
     }
-    drained_[lane].clear();
+    list.clear();
   }
   if (pool_mask_ != 0)
     for (ChunkPool& p : pools_) p.trim(kPoolKeepBytes);
@@ -237,7 +257,7 @@ void Network::flush_entry(const Staged& st) {
     r.seq = k.seq;
   }
   ch.ring.publish(pool(lane));
-  if (!ch.next && first) schedule_delivery(ch, st.dst, first);
+  if (!ch.next && first) schedule_delivery(ch, first);
 }
 
 }  // namespace presto::net

@@ -24,16 +24,19 @@
 // Every record reserves the event key ((time, seq), sim::Engine::reserve_key)
 // it would have been scheduled under at the moment it would have been
 // scheduled, and stores it in its header; when the head event runs it
-// schedules the next record under that reserved key. The heap then pops
-// every event in exactly the order one event per record would, while holding
-// one entry per busy channel and per busy node instead of one per record.
+// posts the next record under that reserved key. The heap then pops every
+// event in exactly the order one event per record would, while holding one
+// entry per busy channel and per busy node instead of one per record. Each
+// event is a plain (handler, object) pair (sim::Engine::post_key): a
+// delivery's object is its channel and a dispatch's its destination's inbox,
+// each of which knows its network and destination.
 //
 // Channels open lazily, at every machine width. Each source keeps a flat
 // dst->slot index (built on the source's first send) and a chunked arena of
 // channels opened on first use; an open channel is two array reads away. So
 // the table grows with the channels a run uses — few, since the paper's
 // workloads talk to neighbors and homes — not with nodes². Chunks never
-// move, so the Channel pointers that events capture stay valid, and both
+// move, so the Channel pointers that delivery events hold stay valid, and both
 // the index and the arena belong to the source: under the parallel windowed
 // engine only the source's lane and the serial boundary flush touch them,
 // so no lock is needed. An idle channel holds no ring chunk: chunks come
@@ -44,15 +47,17 @@
 // appended to the channel's ring unpublished (net/record_ring.h), and the
 // channel joins its source's staging list — routing (the FIFO clamp) still
 // happens at send time, on state the source lane owns. The boundary flush
-// (BoundaryOp::kNet) walks sources 0..N-1, reserves each unpublished
-// record's delivery key on its destination lane in send order — exactly the
-// keys a direct send would have taken — and publishes it where it lies: no
-// byte is copied. During a drain the destination lane touches only the
-// published part of the ring, the delivery cursor and its own inbox; the
-// source lane touches only the FIFO clamp and the ring's tail. A channel
-// whose ring drains joins its destination's drained list, and the boundary
-// hands an idle ring's last chunk back to a pool, so an idle channel holds
-// no chunk. Chunks are drawn from and returned to the pool of the lane that
+// (BoundaryOp::kNet) walks the window's sources in ascending order (only a
+// lane the window drained can have sent, sim::Engine::window_lanes),
+// reserves each unpublished record's delivery key on its destination lane
+// in send order — exactly the keys a direct send would have taken — and
+// publishes it where it lies: no byte is copied. During a drain the
+// destination lane touches only the published part of the ring, the
+// delivery cursor and its own inbox; the source lane touches only the FIFO
+// clamp and the ring's tail. A channel whose ring drains joins its
+// destination's drained list, and the boundary (again visiting only the
+// window's lanes) hands an idle ring's last chunk back to a pool, so an idle
+// channel holds no chunk. Chunks are drawn from and returned to the pool of the lane that
 // touches them — one pool per lane under a worker pool (trimmed at each
 // boundary), one shared pool when lanes drain on one thread. Staging is per
 // source, not per worker, so the flush order — and with it every event key
@@ -150,10 +155,11 @@ class Network {
   }
 
  private:
-  // A (src, dst) channel. last_arrival and staged are the source lane's;
-  // next and drained the destination lane's; the ring is shared as
-  // record_ring.h describes.
+  // A (src, dst) channel, the object of its delivery events. last_arrival
+  // and staged are the source lane's; next and drained the destination
+  // lane's; the ring is shared as record_ring.h describes.
   struct Channel {
+    Network* net = nullptr;
     sim::Time last_arrival = 0;
     RecordRing ring;
     // First record not yet delivered; none when no delivery is pending. The
@@ -161,6 +167,7 @@ class Network {
     RecordRing::Pos next;
     bool staged = false;   // in the source's staging list this window
     bool drained = false;  // in the destination's drained list
+    std::int32_t dst = 0;
   };
 
   // A channel its source appended to during the current window.
@@ -171,8 +178,11 @@ class Network {
 
   // A node's held records awaiting dispatch, as the channels that hold them
   // (each entry is the oldest held record of its channel at its turn): a
-  // circular buffer that grows by doubling.
+  // circular buffer that grows by doubling. The object of the node's
+  // dispatch events.
   struct Inbox {
+    Network* net = nullptr;
+    int dst = 0;
     std::vector<Channel*> q;
     std::size_t head = 0;
     std::size_t size = 0;
@@ -218,15 +228,19 @@ class Network {
     return pools_[static_cast<std::size_t>(lane) & pool_mask_];
   }
 
-  // Schedules the delivery of ch's record at `next` (its reserved key).
-  void schedule_delivery(Channel& ch, int dst, RecordRing::Pos next);
-  void deliver(Channel& ch, int dst);
-  void schedule_dispatch(int dst, const Record& r);
-  void dispatch(int dst);
-  // Pops ch's front record on dst's lane; a ring left empty joins dst's
-  // drained list.
-  void pop_front(Channel& ch, int dst);
-  // Boundary flush (BoundaryOp::kNet): sources 0..N-1, then idle rings.
+  // Posts the delivery of ch's record at `next` (its reserved key).
+  void schedule_delivery(Channel& ch, RecordRing::Pos next);
+  static void deliver_event(void* channel);
+  void deliver(Channel& ch);
+  // Posts the dispatch of the inbox's front record (key in its header).
+  void schedule_dispatch(Inbox& in, const Record& r);
+  static void dispatch_event(void* inbox);
+  void dispatch(Inbox& in);
+  // Pops ch's front record on its destination's lane; a ring left empty
+  // joins the destination's drained list.
+  void pop_front(Channel& ch);
+  // Boundary flush (BoundaryOp::kNet): the window's sources in order, then
+  // the rings its lanes drained.
   void flush_staged();
   // Reserves the keys of the channel's unpublished records on st.dst's lane
   // and publishes them.

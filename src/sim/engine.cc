@@ -35,6 +35,7 @@ void Engine::enable_windows(Time window, int lanes, int workers) {
   window_ = window;
   lanes_.reserve(static_cast<std::size_t>(lanes));
   for (int i = 1; i < lanes; ++i) lanes_.push_back(std::make_unique<Lane>());
+  window_lanes_.reserve(static_cast<std::size_t>(lanes));
   workers_ = 1;
   if (backend_ == Backend::kParallel) {
     workers_ = workers < 1 ? 1 : (workers > lanes ? lanes : workers);
@@ -55,24 +56,31 @@ void Engine::check_delay(Time delay) const {
   PRESTO_CHECK(delay >= 0, "negative delay " << delay);
 }
 
-void Engine::push_into(Lane& l, Time t, InlineFn fn) {
-  push_keyed(l, EventKey{t, l.seq++}, std::move(fn));
+Engine::Parked* Engine::take_slot(Lane& l) {
+  if (l.free.empty()) {
+    l.slabs.push_back(std::make_unique<Parked[]>(kSlabSize));
+    Parked* chunk = l.slabs.back().get();
+    for (std::uint32_t i = kSlabSize; i > 0; --i) {
+      chunk[i - 1].lane = &l;
+      l.free.push_back(&chunk[i - 1]);
+    }
+  }
+  Parked* s = l.free.back();
+  l.free.pop_back();
+  return s;
 }
 
-void Engine::push_keyed(Lane& l, EventKey k, InlineFn fn) {
-  std::uint32_t s;
-  if (!l.free.empty()) {
-    s = l.free.back();
-    l.free.pop_back();
-  } else {
-    s = static_cast<std::uint32_t>(l.slabs.size()) << kSlabShift;
-    l.slabs.push_back(std::make_unique<InlineFn[]>(kSlabSize));
-    for (std::uint32_t i = kSlabSize; i > 1; --i) l.free.push_back(s + i - 1);
-  }
-  slot(l, s) = std::move(fn);
+void Engine::run_parked(void* slot) {
+  // Move the closure out and free the slot before calling it: the body may
+  // schedule new closures (and reuse this very slot).
+  auto* s = static_cast<Parked*>(slot);
+  InlineFn fn = std::move(s->fn);
+  s->lane->free.push_back(s);
+  fn();
+}
 
+void Engine::push(Lane& l, const HeapEntry& e) {
   // 4-ary sift-up keyed on (t, seq).
-  HeapEntry e{k.t, k.seq, s};
   std::size_t i = l.heap.size();
   l.heap.push_back(e);
   while (i > 0) {
@@ -82,43 +90,34 @@ void Engine::push_keyed(Lane& l, EventKey k, InlineFn fn) {
     i = parent;
   }
   l.heap[i] = e;
+  if (i == 0) l.head = e.t;
 }
 
-void Engine::push_event(Time t, InlineFn fn) {
-  Lane& l = lane(current_lane());
-  if (t < l.now) t = l.now;
-  push_into(l, t, std::move(fn));
-}
-
-void Engine::push_event_on(int lane_id, Time t, InlineFn fn) {
-  Lane& l = lane(lane_id);
-  if (t < l.now) t = l.now;
-  push_into(l, t, std::move(fn));
-}
-
-std::uint32_t Engine::pop_min(Lane& l) {
-  const std::uint32_t s = l.heap[0].slot;
+Engine::HeapEntry Engine::pop_min(Lane& l) {
+  const HeapEntry top = l.heap[0];
   const HeapEntry last = l.heap.back();
   l.heap.pop_back();
-  if (!l.heap.empty()) {
-    // 4-ary sift-down of the former last element from the root.
-    const std::size_t n = l.heap.size();
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first_child = (i << 2) + 1;
-      if (first_child >= n) break;
-      std::size_t best = first_child;
-      const std::size_t end =
-          first_child + 4 < n ? first_child + 4 : n;
-      for (std::size_t c = first_child + 1; c < end; ++c)
-        if (before(l.heap[c], l.heap[best])) best = c;
-      if (!before(l.heap[best], last)) break;
-      l.heap[i] = l.heap[best];
-      i = best;
-    }
-    l.heap[i] = last;
+  const std::size_t n = l.heap.size();
+  if (n == 0) {
+    l.head = kTimeNever;
+    return top;
   }
-  return s;
+  // 4-ary sift-down of the former last element from the root.
+  std::size_t i = 0;
+  for (;;) {
+    const std::size_t first_child = (i << 2) + 1;
+    if (first_child >= n) break;
+    std::size_t best = first_child;
+    const std::size_t end = first_child + 4 < n ? first_child + 4 : n;
+    for (std::size_t c = first_child + 1; c < end; ++c)
+      if (before(l.heap[c], l.heap[best])) best = c;
+    if (!before(l.heap[best], last)) break;
+    l.heap[i] = l.heap[best];
+    i = best;
+  }
+  l.heap[i] = last;
+  l.head = l.heap[0].t;
+  return top;
 }
 
 Processor& Engine::add_processor() {
@@ -132,23 +131,18 @@ Processor& Engine::add_processor() {
 }
 
 Processor* Engine::step_one(Lane& l) {
-  const Time t = l.heap[0].t;
-  const std::uint32_t s = pop_min(l);
-  PRESTO_CHECK(t >= l.now, "event time went backwards");
-  l.now = t;
+  const HeapEntry e = pop_min(l);
+  PRESTO_CHECK(e.t >= l.now, "event time went backwards");
+  l.now = e.t;
   ++l.events;
-  // Move the closure out and recycle the slot before invoking: the event
-  // body may schedule new events (and reuse this very slot).
-  InlineFn fn = std::move(slot(l, s));
-  l.free.push_back(s);
-  fn();
+  e.fn(e.arg);
   Processor* to = l.transfer_to;
   l.transfer_to = nullptr;
   return to;
 }
 
 Processor* Engine::next_resumed(Lane& l) {
-  while (!l.heap.empty() && l.heap[0].t < l.cap)
+  while (l.head < cap_)
     if (Processor* to = step_one(l)) return to;
   return nullptr;
 }
@@ -188,7 +182,7 @@ void Engine::drain_lane(int lane_id) {
   tls_lane_ = lane_id;
   tls_engine_ = this;
   // Hand control to each resumed processor's context; it drives the lane
-  // inline and switches back here once the lane is empty or at its cap.
+  // inline and switches back here once the lane is empty or at the cap.
   while (Processor* to = next_resumed(l))
     fiber_switch(l.sched_ctx, switch_target(l, to));
   tls_lane_ = prev_lane;
@@ -218,7 +212,7 @@ void Engine::run_boundary() {
   for (int i = 0; i < kNumBoundaryOps; ++i) {
     if (i == static_cast<int>(BoundaryOp::kSpace)) {
       // Service deferred gates in lane order before the registered op.
-      for (int li = 0; li < num_lanes(); ++li) {
+      for (const int li : window_lanes_) {
         Lane& l = lane(li);
         if (!l.gate_pending) continue;
         l.gate();
@@ -236,13 +230,12 @@ void Engine::run_windowed() {
   for (;;) {
     Time watermark = kTimeNever;
     for (const auto& lp : lanes_)
-      if (!lp->heap.empty() && lp->heap[0].t < watermark)
-        watermark = lp->heap[0].t;
+      if (lp->head < watermark) watermark = lp->head;
+    window_lanes_.clear();
     if (watermark == kTimeNever) {
       // Every heap is empty, but staged cross-lane work (held-back staged
-      // records, an unserviced gate) may still exist outside the queues. One
-      // extra boundary pass either schedules it — and the loop continues —
-      // or proves quiescence.
+      // records) may still exist outside the queues. One extra boundary pass
+      // either schedules it — and the loop continues — or proves quiescence.
       if (final_boundary) break;
       run_boundary();
       final_boundary = true;
@@ -254,12 +247,15 @@ void Engine::run_windowed() {
     // deliveries depart at t < cap and arrive at t + latency >= cap (the
     // window never exceeds the minimum latency), so a flush can never land
     // in a lane's past.
-    const Time cap = watermark <= kTimeNever - window_ ? watermark + window_
-                                                       : kTimeNever;
-    for (const auto& lp : lanes_) lp->cap = cap;
+    cap_ = watermark <= kTimeNever - window_ ? watermark + window_
+                                             : kTimeNever;
+    // Lanes with nothing below the cap stay idle all window: no drain can
+    // add to another lane's queue.
+    for (int li = 0; li < num_lanes(); ++li)
+      if (lane(li).head < cap_) window_lanes_.push_back(li);
     ++windows_run_;
     if (pool_ != nullptr) {
-      pool_->run_window();
+      pool_->run_window(window_lanes_);
       const auto t0 = std::chrono::steady_clock::now();
       run_boundary();
       pool_->stats().boundary_ns += static_cast<std::uint64_t>(
@@ -267,12 +263,7 @@ void Engine::run_windowed() {
               std::chrono::steady_clock::now() - t0)
               .count());
     } else {
-      // Lanes with nothing below the cap are skipped: no drain can add
-      // to another lane's queue, so they stay idle all window.
-      for (int li = 0; li < num_lanes(); ++li) {
-        const Lane& l = lane(li);
-        if (!l.heap.empty() && l.heap[0].t < cap) drain_lane(li);
-      }
+      for (const int li : window_lanes_) drain_lane(li);
       run_boundary();
     }
   }

@@ -11,11 +11,16 @@
 // alone, with no cap — the bare event loop unit tests and host-cost probes
 // drive directly.
 //
-// The queue is built for host throughput: closures live in a slab of
-// fixed-size slots recycled through a freelist (no per-event heap
-// allocation; see sim/inline_fn.h), and ordering is a 4-ary implicit heap
-// whose entries carry the (time, seq) key inline so sift operations never
-// dereference the slab.
+// The queue is built for host throughput. An event is a plain (handler,
+// object) pair held in its heap entry: the hot events — network deliveries
+// (the object is the channel), dispatches (the destination's inbox) and
+// processor resumes (the processor) — are posted that way (post, post_key),
+// and running one is one indirect call, e.fn(e.arg). A closure (schedule_*,
+// for tests, probes and a protocol's cold retries) is parked in a slot of
+// its lane's slab (sim/inline_fn.h; slots recycled through a freelist, so
+// no per-event heap allocation) behind a trampoline that frees the slot and
+// calls it. Ordering is a 4-ary implicit heap whose entries carry the
+// (time, seq) key inline, and each lane caches its root's time (Lane::head).
 //
 // ---- Windowed (lane) mode -------------------------------------------------
 //
@@ -23,18 +28,20 @@
 // every simulated node owns a private event *lane* (its own heap, slab,
 // sequence counter and clock), and run() proceeds in global windows. Each
 // window computes the low watermark (the minimum pending event time across
-// lanes), sets every lane's cap to watermark + W where W is the window width
-// (at most the network's minimum cross-node latency, see
-// net::Network::min_latency), drains every lane independently up to its cap,
-// and then runs the registered *boundary operations* in a fixed slot order —
-// network staging flush, space growth gates, barrier scan, oracle replay,
-// trace sequence stamping. Lanes share no mutable state during a drain: all
-// cross-node effects are staged and applied at the boundary, and protocol
-// state lives with its home or node (Stache's pending-request pools are per
-// home, ccached's counters per node). So the lanes may be drained in any
-// order — or concurrently by a worker pool (Backend::kParallel,
-// sim/parallel.h) — and the result is bit-identical to draining them
-// serially in lane order.
+// lanes), sets the engine's one cap to watermark + W where W is the window
+// width (at most the network's minimum cross-node latency, see
+// net::Network::min_latency), lists the lanes with an event below the cap,
+// drains each listed lane independently up to the cap, and then runs the
+// registered *boundary operations* in a fixed slot order — network staging
+// flush, space growth gates, barrier scan, oracle replay, trace sequence
+// stamping. Lanes share no mutable state during a drain: all cross-node
+// effects are staged and applied at the boundary, and protocol state lives
+// with its home or node (Stache's pending-request pools are per home,
+// ccached's counters per node). So the lanes may be drained in any order —
+// or concurrently by a worker pool (Backend::kParallel, sim/parallel.h) —
+// and the result is bit-identical to draining them serially in lane order.
+// Staged sends, gates and drained rings arise only inside a lane's drain, so
+// the boundary visits only the window's listed lanes (window_lanes).
 //
 // Run-ahead: a processor computing between events yields only when its
 // clock passes the next event of its lane *below the cap* (lane_horizon), so
@@ -89,24 +96,34 @@ class Engine {
 
   Backend backend() const { return backend_; }
 
-  // Schedules fn to run in engine context at absolute time t (clamped to the
-  // current time if in the past). Events at equal times run in schedule
-  // order. In windowed mode the event lands on the calling context's lane.
+  // An event's handler, called with the object it was posted with.
+  using EventFn = void (*)(void*);
+
+  // Posts fn(arg) to run in engine context on `lane` at absolute time t
+  // (clamped to the lane's clock). Events at equal times run in the order
+  // they were posted or scheduled.
+  void post(int lane_id, Time t, EventFn fn, void* arg) {
+    Lane& l = lane(lane_id);
+    push(l, HeapEntry{t < l.now ? l.now : t, l.seq++, fn, arg});
+  }
+
+  // Schedules a closure to run in engine context at absolute time t (clamped
+  // to the current time if in the past), on the calling context's lane.
   template <typename F>
   void schedule_at(Time t, F&& fn) {
-    push_event(t, InlineFn(std::forward<F>(fn)));
+    schedule_on(current_lane(), t, std::forward<F>(fn));
   }
   template <typename F>
   void schedule_in(Time delay, F&& fn) {
     check_delay(delay);
-    push_event(now() + delay, InlineFn(std::forward<F>(fn)));
+    schedule_at(now() + delay, std::forward<F>(fn));
   }
   // Windowed mode: schedules onto an explicit lane (cross-lane effects at a
-  // window boundary, processor wakes). Equivalent to schedule_at on lane 0
-  // when windows are off.
+  // window boundary). `lane_id` must be a lane: lane_of(node) when the
+  // caller names a node.
   template <typename F>
-  void schedule_on(int lane, Time t, F&& fn) {
-    push_event_on(lane, t, InlineFn(std::forward<F>(fn)));
+  void schedule_on(int lane_id, Time t, F&& fn) {
+    post(lane_id, t, &run_parked, park(lane(lane_id), std::forward<F>(fn)));
   }
 
   // An event's ordering key: events run in (t, seq) order on their lane.
@@ -114,26 +131,29 @@ class Engine {
     Time t;
     std::uint64_t seq;
   };
-  // Reserves the key schedule_on(lane, t, ...) would assign at this instant
-  // (t clamped to the lane's clock, the lane's next sequence number) without
-  // scheduling anything. A FIFO of future events (a channel's deliveries, a
+  // Reserves the key post(lane, t, ...) would assign at this instant (t
+  // clamped to the lane's clock, the lane's next sequence number) without
+  // posting anything. A FIFO of future events (a channel's deliveries, a
   // node's handler dispatches) reserves each item's key at the moment one
-  // event per item would be scheduled, and keeps only its head in the heap;
-  // since keys are totally ordered, pushing a reserved key later pops it
-  // exactly where it would have popped had it been pushed at reservation.
+  // event per item would be posted, and keeps only its head in the heap;
+  // since keys are totally ordered, posting a reserved key later pops it
+  // exactly where it would have popped had it been posted at reservation.
   // Callable only by the context that owns the lane (see drain_lane).
   EventKey reserve_key(int lane_id, Time t) {
     Lane& l = lane(lane_id);
     return EventKey{t < l.now ? l.now : t, l.seq++};
   }
-  // Schedules fn under a key from reserve_key on the same lane. The key must
-  // not be in the lane's past.
-  template <typename F>
-  void schedule_key(int lane_id, EventKey k, F&& fn) {
+  // Posts fn(arg), or schedules a closure, under a key from reserve_key on
+  // the same lane. The key must not be in the lane's past.
+  void post_key(int lane_id, EventKey k, EventFn fn, void* arg) {
     Lane& l = lane(lane_id);
     PRESTO_CHECK(k.t >= l.now,
                  "event key " << k.t << " in the lane's past " << l.now);
-    push_keyed(l, k, InlineFn(std::forward<F>(fn)));
+    push(l, HeapEntry{k.t, k.seq, fn, arg});
+  }
+  template <typename F>
+  void schedule_key(int lane_id, EventKey k, F&& fn) {
+    post_key(lane_id, k, &run_parked, park(lane(lane_id), std::forward<F>(fn)));
   }
 
   // Time of the event currently executing (or the last one executed) on the
@@ -148,15 +168,13 @@ class Engine {
   // Earliest pending event time on `lane` that will still execute in the
   // current window, or kTimeNever. A processor computing on its lane yields
   // when its local clock passes it (Processor::charge), so cross-processor
-  // effects interleave at event granularity; an event beyond the lane's cap
-  // cannot run until the next window, so a computing processor need not
+  // effects interleave at event granularity; an event beyond the window's
+  // cap cannot run until the next window, so a computing processor need not
   // yield for it (a bare single-lane engine has no cap: this is the queue
   // head).
   Time lane_horizon(int lane) const {
-    const Lane& l = *lanes_[static_cast<std::size_t>(lane)];
-    if (l.heap.empty()) return kTimeNever;
-    const Time h = l.heap[0].t;
-    return h < l.cap ? h : kTimeNever;
+    const Time h = lanes_[static_cast<std::size_t>(lane)]->head;
+    return h < cap_ ? h : kTimeNever;
   }
 
   // ---- Windowed mode --------------------------------------------------------
@@ -178,6 +196,13 @@ class Engine {
   // Window-synchronization attribution (sim/parallel.h); all-zero when no
   // worker pool is active. Host-side observability only.
   WindowPoolStats window_stats();
+
+  // The lanes the current window drains, ascending: every lane with an
+  // event below the cap when the window opened. Staged sends, gates and
+  // drained rings arise only inside a lane's drain, so a boundary operation
+  // looking for them visits only these. Empty at the extra boundary that
+  // proves quiescence once every queue is empty.
+  const std::vector<int>& window_lanes() const { return window_lanes_; }
 
   // Registers (or overwrites) a boundary operation; null clears the slot.
   void set_boundary_op(BoundaryOp slot, std::function<void()> fn);
@@ -201,10 +226,11 @@ class Engine {
     return lanes_[static_cast<std::size_t>(lane)]->now;
   }
 
-  // Drains one lane up to its cap; resumed processors drive it inline
-  // meanwhile. Called by run() (lane 0 alone on a bare engine, every lane per
-  // window when windowed) or concurrently by a WindowPool; lanes share no
-  // mutable state during a drain, so any order gives the identical result.
+  // Drains one lane up to the cap; resumed processors drive it inline
+  // meanwhile. Called by run() (lane 0 alone on a bare engine, each of the
+  // window's lanes when windowed) or concurrently by a WindowPool; lanes
+  // share no mutable state during a drain, so any order gives the identical
+  // result.
   void drain_lane(int lane);
 
   // ---------------------------------------------------------------------------
@@ -225,7 +251,7 @@ class Engine {
   std::uint64_t handoffs() const;
   // Resume events that popped while their own processor was driving its
   // lane — the fast path costing zero stack switches. Windowed lanes get
-  // them too, for resumes that fall before the lane's cap.
+  // them too, for resumes that fall before the window's cap.
   std::uint64_t direct_resumes() const;
   // Windows executed (windowed mode only).
   std::uint64_t windows_run() const { return windows_run_; }
@@ -248,22 +274,29 @@ class Engine {
   friend class Processor;
   friend class WindowPool;
 
-  // Heap entries carry the ordering key so sifts are slab-free; the closure
-  // itself sits in a slab slot recycled through the lane's freelist.
+  // A heap entry is the whole event: its ordering key and the (handler,
+  // object) pair that runs it.
   struct HeapEntry {
     Time t;
     std::uint64_t seq;
-    std::uint32_t slot;
+    EventFn fn;
+    void* arg;
   };
   static bool before(const HeapEntry& a, const HeapEntry& b) {
     return a.t != b.t ? a.t < b.t : a.seq < b.seq;
   }
 
-  // 32 slots (2 KiB) per slab chunk: a lane holds few pending events once
-  // channel and dispatch FIFOs keep only their head in the heap, so a small
-  // first chunk keeps the cost of a machine's many mostly idle lanes low.
-  static constexpr std::uint32_t kSlabShift = 5;
-  static constexpr std::uint32_t kSlabSize = 1u << kSlabShift;
+  struct Lane;
+  // A slab slot holding a scheduled closure until its event runs.
+  struct Parked {
+    InlineFn fn;
+    Lane* lane;
+  };
+
+  // 32 slots (2.5 KiB) per slab chunk: only closures take a slot, and a lane
+  // holds few pending ones, so a small first chunk keeps the cost of a
+  // machine's many mostly idle lanes low.
+  static constexpr std::uint32_t kSlabSize = 32;
 
   // One event lane: a private queue + clock. Legacy mode is exactly one
   // lane; windowed mode has one per simulated node. Heap-allocated (vector
@@ -271,11 +304,11 @@ class Engine {
   // different workers do not share cache lines.
   struct Lane {
     std::vector<HeapEntry> heap;
-    std::vector<std::unique_ptr<InlineFn[]>> slabs;
-    std::vector<std::uint32_t> free;
+    Time head = kTimeNever;  // heap[0].t, or kTimeNever when empty
+    std::vector<std::unique_ptr<Parked[]>> slabs;
+    std::vector<Parked*> free;
     Processor* transfer_to = nullptr;  // set by a resume event mid-drain
     Time now = 0;
-    Time cap = kTimeNever;  // exclusive drain horizon for the current window
     std::uint64_t seq = 0;
     std::uint64_t events = 0;
     std::uint64_t handoffs = 0;
@@ -287,24 +320,28 @@ class Engine {
     bool gate_pending = false;
   };
 
-  InlineFn& slot(Lane& l, std::uint32_t i) {
-    return l.slabs[i >> kSlabShift][i & (kSlabSize - 1)];
-  }
-
   Lane& lane(int i) { return *lanes_[static_cast<std::size_t>(i)]; }
 
   void check_delay(Time delay) const;
-  void push_event(Time t, InlineFn fn);             // calling context's lane
-  void push_event_on(int lane, Time t, InlineFn fn);
-  void push_into(Lane& l, Time t, InlineFn fn);
-  void push_keyed(Lane& l, EventKey k, InlineFn fn);
-  std::uint32_t pop_min(Lane& l);  // removes the root, returns its slot index
+  void push(Lane& l, const HeapEntry& e);
+  HeapEntry pop_min(Lane& l);  // removes and returns the root
+
+  // Parks a closure in a free slot of l's slab; run_parked(slot) frees the
+  // slot, then calls the closure (whose body may reuse that very slot).
+  template <typename F>
+  Parked* park(Lane& l, F&& fn) {
+    Parked* s = take_slot(l);
+    s->fn = InlineFn(std::forward<F>(fn));
+    return s;
+  }
+  Parked* take_slot(Lane& l);
+  static void run_parked(void* slot);
 
   // Executes the lane's next event; returns the processor it resumed, or
   // nullptr.
   Processor* step_one(Lane& l);
-  // Pops the lane's events below its cap until one resumes a processor;
-  // returns it, or nullptr once the lane is empty or at its cap.
+  // Pops the lane's events below the cap until one resumes a processor;
+  // returns it, or nullptr once the lane is empty or at the cap.
   Processor* next_resumed(Lane& l);
   // The context to switch to after next_resumed returned `to`: its fiber
   // (counted as a handoff), or the lane's drain loop when null.
@@ -316,10 +353,11 @@ class Engine {
   void drive(Processor* self);
   // Drives `lane` on a fiber whose processor body just finished: returns the
   // context it must terminally switch to (the next resumed processor, or the
-  // lane's drain loop once the lane is empty or at its cap).
+  // lane's drain loop once the lane is empty or at the cap).
   FiberContext* drive_exit_target(int lane);
 
-  // Windowed run loop: watermark, caps, drain (serial or pooled), boundary.
+  // Windowed run loop: watermark, cap and lane list, drain (serial or
+  // pooled), boundary.
   void run_windowed();
   void run_boundary();
 
@@ -330,7 +368,9 @@ class Engine {
   bool windowed_ = false;
   Time window_ = 0;
   int workers_ = 1;
-  Time global_now_ = 0;  // watermark of the current window
+  Time global_now_ = 0;    // watermark of the current window
+  Time cap_ = kTimeNever;  // exclusive drain horizon of the current window
+  std::vector<int> window_lanes_;
   std::uint64_t windows_run_ = 0;
   std::function<void()> boundary_ops_[kNumBoundaryOps];
   std::unique_ptr<WindowPool> pool_;

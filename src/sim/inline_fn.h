@@ -1,11 +1,14 @@
-// Small-buffer-optimized move-only callable for simulator events.
+// Small-buffer-optimized move-only callable for scheduled closures.
 //
-// Every hot-path event closure (processor resumes, message deliveries,
-// handler dispatches) captures well under kInlineSize bytes, so scheduling
-// an event never touches the heap — unlike std::function, which boxes any
-// capture larger than its (implementation-defined, often 16-byte) inline
-// buffer. Oversized callables still work via a boxed fallback so cold-path
-// and test code can schedule arbitrary closures.
+// The hot events (processor resumes, message deliveries, handler
+// dispatches) are plain (handler, object) pairs and need no closure
+// (sim/engine.h). What schedules a closure — Stache's queued-request retry,
+// ccached's pump, tests and host-cost probes — captures at most
+// kInlineSize bytes on every steady-state path, so scheduling one never
+// touches the heap, unlike std::function, which boxes any capture larger
+// than its (implementation-defined, often 16-byte) inline buffer. Oversized
+// callables still work via a boxed fallback so cold-path and test code can
+// schedule arbitrary closures.
 #pragma once
 
 #include <cstddef>
@@ -17,8 +20,9 @@ namespace presto::sim {
 
 class InlineFn {
  public:
-  // Large enough for the biggest hot-path capture (Stache's queued-request
-  // retry: this + home + block + requester + flag) with headroom.
+  // Large enough for the biggest steady-state capture (Stache's
+  // queued-request retry: this + home + block + requester + flag) with
+  // headroom.
   static constexpr std::size_t kInlineSize = 48;
 
   InlineFn() = default;

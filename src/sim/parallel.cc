@@ -19,7 +19,7 @@ constexpr int kSpinYield = 64;
 
 // Drain time after which a window that still has unclaimed lanes releases
 // the helpers. presto_bench's sim.parallel.ns_per_window probe measures a
-// window's fixed cost (watermark, caps, drain loop, boundary) at about
+// window's fixed cost (watermark, cap, drain loop, boundary) at about
 // 0.4 us; 5 us is about 12x that, so a window escalates only once its drain
 // work dwarfs the release/arrival round trip it is about to pay for.
 constexpr std::uint64_t kEscalateNs = 5000;
@@ -46,7 +46,6 @@ WindowPool::WindowPool(Engine& engine, int workers)
   PRESTO_CHECK(workers_ >= 2, "WindowPool needs >= 2 workers, got " << workers_);
   slots_.reserve(static_cast<std::size_t>(workers_ - 1));
   for (int w = 1; w < workers_; ++w) slots_.push_back(std::make_unique<Slot>());
-  runnable_.reserve(static_cast<std::size_t>(engine_.num_lanes()));
   threads_.reserve(static_cast<std::size_t>(workers_ - 1));
   for (int w = 1; w < workers_; ++w)
     threads_.emplace_back([this, w] { worker_main(w); });
@@ -102,31 +101,27 @@ void WindowPool::worker_main(int w) {
   for (;;) {
     seen = await_epoch(slot, seen);
     if (stop_.load(std::memory_order_relaxed)) return;
-    const auto n = static_cast<std::uint32_t>(runnable_.size());
+    const auto n = static_cast<std::uint32_t>(lanes_.size());
     for (std::uint32_t i;
          (i = cursor_.fetch_add(1, std::memory_order_relaxed)) < n;) {
       // Planted bug (see check/bughook.h): arrive without draining a claimed
       // lane, as if a stale sense flag already showed the window complete.
-      // Never the window's last runnable lane: its events, stamped one
+      // Never the window's last listed lane: its events, stamped one
       // window late, would land in the same node-major trace position.
       if (check::bug_hooks().stale_sense_flag && i + 1 < n &&
           !stale_sense_fired_.exchange(true, std::memory_order_relaxed))
           [[unlikely]]
         break;
-      engine_.drain_lane(runnable_[i]);
+      engine_.drain_lane(lanes_[i]);
     }
     if (arrivals_.fetch_sub(1, std::memory_order_release) == 1)
       arrivals_.notify_one();
   }
 }
 
-void WindowPool::run_window() {
-  runnable_.clear();
-  for (int i = 0; i < engine_.num_lanes(); ++i) {
-    const Engine::Lane& l = engine_.lane(i);
-    if (!l.heap.empty() && l.heap[0].t < l.cap) runnable_.push_back(i);
-  }
-  const auto n = static_cast<std::uint32_t>(runnable_.size());
+void WindowPool::run_window(std::span<const int> lanes) {
+  lanes_ = lanes;
+  const auto n = static_cast<std::uint32_t>(lanes_.size());
 
   // The caller alone, in list order, until the list is done or the window
   // has outlasted the escalation time.
@@ -134,7 +129,7 @@ void WindowPool::run_window() {
   std::uint64_t t = t0;
   std::uint32_t next = 0;
   while (next < n && t - t0 <= kEscalateNs) {
-    engine_.drain_lane(runnable_[next++]);
+    engine_.drain_lane(lanes_[next++]);
     t = now_ns();
   }
   if (next == n) {
@@ -145,8 +140,8 @@ void WindowPool::run_window() {
 
   // Escalate. The relaxed stores are ordered before the epoch release
   // stores below; a helper's acquire on its epoch therefore sees the fresh
-  // cursor, arrival count and lane list (and every lane cap the engine set
-  // before calling us).
+  // cursor, arrival count and lane list (and the cap the engine set before
+  // calling us).
   const int helpers = static_cast<int>(
       std::min<std::uint32_t>(static_cast<std::uint32_t>(workers_ - 1),
                               n - next));
@@ -161,7 +156,7 @@ void WindowPool::run_window() {
   stats_.adopted_drains += next;
   for (std::uint32_t i;
        (i = cursor_.fetch_add(1, std::memory_order_relaxed)) < n;) {
-    engine_.drain_lane(runnable_[i]);
+    engine_.drain_lane(lanes_[i]);
     ++stats_.adopted_drains;
   }
   const std::uint64_t t1 = now_ns();

@@ -3,10 +3,10 @@
 //
 // The caller of run_window() participates as worker 0; the pool spawns
 // workers-1 helper threads. No lane belongs to any worker: each window the
-// caller lists the runnable lanes (those with an event below the cap), and
-// every participant claims the next listed lane through one shared cursor
-// until the list is exhausted, so one long lane never strands the others
-// behind a fixed owner.
+// engine hands over its list of the window's lanes (those with an event
+// below the cap, Engine::window_lanes), and every participant claims the
+// next listed lane through one shared cursor until the list is exhausted,
+// so one long lane never strands the others behind a fixed owner.
 //
 //   * Escalation — the caller starts alone, draining listed lanes in order
 //     with no atomics. Once the window has run longer than one escalation
@@ -44,6 +44,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -77,11 +78,11 @@ class WindowPool {
   WindowPool(const WindowPool&) = delete;
   WindowPool& operator=(const WindowPool&) = delete;
 
-  // Drains every lane of the engine up to its cap (caps are set by the
-  // engine's run loop before the call): on the caller alone, or on the
+  // Drains the listed lanes, ascending, up to the window's cap (the engine's
+  // run loop sets both before the call): on the caller alone, or on the
   // caller plus released helpers once the window escalates. Returns after
   // the last released helper arrives.
-  void run_window();
+  void run_window(std::span<const int> lanes);
 
   int workers() const { return workers_; }
 
@@ -110,10 +111,10 @@ class WindowPool {
   Engine& engine_;
   const int workers_;
 
-  // This window's runnable lanes, ascending. Written by the caller before
-  // any release; read-only while helpers claim from it.
-  std::vector<int> runnable_;
-  // Next index into runnable_ to claim, once helpers are released. The
+  // This window's lanes, ascending. Set by the caller before any release;
+  // read-only while helpers claim from it.
+  std::span<const int> lanes_;
+  // Next index into lanes_ to claim, once helpers are released. The
   // cursor and the arrival count sit on lines of their own: every claim
   // hits the cursor while the caller spins on arrivals_.
   alignas(64) std::atomic<std::uint32_t> cursor_{0};

@@ -32,7 +32,7 @@ void Processor::start(std::function<void()> body, Time start_time) {
   body_ = std::move(body);
   fiber_ = std::make_unique<Fiber>(&Processor::fiber_entry, this,
                                    engine_.fiber_stack_size());
-  engine_.schedule_on(lane_, start_time, [this] { mark_resume(); });
+  engine_.post(lane_, start_time, &Processor::resume_event, this);
 }
 
 bool Processor::run_body() {
@@ -57,14 +57,15 @@ FiberContext* Processor::fiber_entry(void* self_void) {
   if (self->run_body()) return self->kill_exit_;
   // Keep driving the lane on this (now dead-to-the-simulation) stack until
   // control must pass elsewhere; that switch is the fiber's last act. A stale
-  // resume for this processor is a no-op (mark_resume checks finished_).
+  // resume for this processor is a no-op (resume_event checks finished_).
   return self->engine_.drive_exit_target(self->lane_);
 }
 
-void Processor::mark_resume() {
-  if (finished_) return;
-  resume_time_ = engine_.lane_now(lane_);
-  engine_.lane(lane_).transfer_to = this;
+void Processor::resume_event(void* self_void) {
+  auto* self = static_cast<Processor*>(self_void);
+  if (self->finished_) return;
+  self->resume_time_ = self->engine_.lane_now(self->lane_);
+  self->engine_.lane(self->lane_).transfer_to = self;
 }
 
 void Processor::fiber_resumed() {
@@ -80,7 +81,7 @@ void Processor::wake(Time t) {
   if (t < lane_now) t = lane_now;
   if (blocked_) {
     blocked_ = false;
-    engine_.schedule_on(lane_, t, [this] { mark_resume(); });
+    engine_.post(lane_, t, &Processor::resume_event, this);
   } else {
     // Not parked yet (running or in a horizon yield): latch for the next
     // block() call so the wake cannot be lost.
@@ -91,7 +92,7 @@ void Processor::wake(Time t) {
 
 void Processor::yield() {
   ++yields_;
-  engine_.schedule_at(clock_, [this] { mark_resume(); });
+  engine_.post(lane_, clock_, &Processor::resume_event, this);
   engine_.drive(this);
   if (resume_time_ > clock_) clock_ = resume_time_;
 }

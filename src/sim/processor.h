@@ -103,8 +103,9 @@ class Processor {
   // terminal switch target.
   static FiberContext* fiber_entry(void* self);
 
-  // Engine-context resume event: flags the engine to transfer control here.
-  void mark_resume();
+  // Engine-context resume event, posted with the processor as its object:
+  // flags the engine to transfer control here.
+  static void resume_event(void* self);
   // Called after a fiber switch lands back in this processor: validates the
   // stack canary and unwinds via Killed if the engine is being torn down.
   void fiber_resumed();

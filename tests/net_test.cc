@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "net/network.h"
+#include "sim/processor.h"
 
 namespace presto::net {
 namespace {
@@ -318,6 +319,81 @@ TEST(NetworkWindowed, StagedBurstHoldsOneCopyOfItsBytes) {
   // most 8 KiB of chunk headers and last-chunk slack for the channel.
   EXPECT_LE(held, kRecords * (kLen + 32) + 8192)
       << "staged records held more than once";
+}
+
+// A 32-lane machine whose first window runs lane 31 alone: processor 31
+// sends to itself and to node 0, then takes a boundary gate. The boundary
+// must still flush lane 31's staged send, run its gate and hand back the
+// chunk of the ring it drained, though it looks at no other lane. The sink
+// records each dispatch's time and window and the key its lane would
+// reserve next, which shows how many keys the lane reserved before.
+struct KeyedSink final : Network::MsgSink {
+  struct Dispatch {
+    int dst;
+    sim::Time at;
+    std::uint64_t window;
+    sim::Engine::EventKey next;
+  };
+  explicit KeyedSink(sim::Engine& e) : engine(e) {}
+  void on_msg(int dst, const std::byte*, std::size_t) override {
+    got.push_back({dst, engine.now(), engine.windows_run(),
+                   engine.reserve_key(engine.lane_of(dst), engine.now())});
+  }
+  sim::Engine& engine;
+  std::vector<Dispatch> got;
+};
+
+TEST(NetworkWindowed, WindowOfTheLastLaneAloneFlushesGatesAndReleases) {
+  for (int workers : {1, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    sim::Engine e(sim::Backend::kParallel);
+    e.enable_windows(/*window=*/100, /*lanes=*/32, workers);
+    NetConfig cfg;
+    cfg.wire_latency = 100;
+    cfg.per_byte = 10;
+    cfg.self_latency = 5;
+    Network net(e, 32, cfg);
+    KeyedSink sink(e);
+    net.set_msg_sink(&sink);
+    for (int i = 0; i < 32; ++i) e.add_processor();
+    sim::Processor& p = e.processor(31);
+    std::uint64_t gate_window = 0;
+    sim::Time gate_wake = -1;
+    p.start(
+        [&] {
+          send(net, 31, 31, 4, p.now(), "self");  // arrives 1005, drains
+          send(net, 31, 0, 8, p.now(), "far");    // staged: arrives 1180
+          e.boundary_gate([&] { gate_window = e.windows_run(); });
+          gate_wake = p.now();
+        },
+        /*start_time=*/1000);
+    e.run();
+
+    EXPECT_EQ(gate_window, 1u);
+    EXPECT_EQ(gate_wake, 1005);
+    ASSERT_EQ(sink.got.size(), 2u);
+    EXPECT_EQ(sink.got[0].dst, 31);
+    EXPECT_EQ(sink.got[0].at, 1005);
+    EXPECT_EQ(sink.got[0].window, 1u);
+    // Lane 31: start (seq 0), delivery (1), dispatch (2).
+    EXPECT_EQ(sink.got[0].next.t, 1005);
+    EXPECT_EQ(sink.got[0].next.seq, 3u);
+    EXPECT_EQ(sink.got[1].dst, 0);
+    EXPECT_EQ(sink.got[1].at, 1000 + 100 + 8 * 10);
+    EXPECT_EQ(sink.got[1].window, 3u);  // after lane 31's wake window
+    // Lane 0: the delivery key reserved at the flush (seq 0), its dispatch
+    // (1).
+    EXPECT_EQ(sink.got[1].next.t, 1180);
+    EXPECT_EQ(sink.got[1].next.seq, 2u);
+    EXPECT_EQ(e.windows_run(), 3u);
+    // Idle: source 31's chunk of channels, plus 2600 bytes: 32 source
+    // headers (1792), source 31's index (128) and chunk list (8), two
+    // inboxes (128), the staged and drained lists (32), and the two rings'
+    // chunks back in the pools (512). A ring whose release the boundary
+    // skipped would still hold its chunk, header included (+16).
+    EXPECT_EQ(net.metadata_bytes(),
+              2600 + Network::kChannelChunk * Network::dense_equiv_bytes(1));
+  }
 }
 
 // A sink that holds every record for a handler occupancy, as the protocol

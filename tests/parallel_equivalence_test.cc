@@ -13,8 +13,9 @@
 //     trace digest (equal digests => byte-identical canonical streams);
 //   * randomized soak — 20 runs with PRNG-drawn worker counts, every one
 //     digest-identical to the reference;
-//   * width — the 64-node ring that CI's parallel speedup floor runs, at 2
-//     and 4 workers;
+//   * width — the 64-node ring that CI's parallel speedup floor runs, and
+//     the 256-node ring, bcast and reduce patterns, whose windows mostly
+//     run a few lanes, at 2 and 4 workers;
 //   * backend equivalence — a full Barnes run lands on the same canon on
 //     kFiber and kParallel.
 //
@@ -38,6 +39,7 @@
 #include "check/bughook.h"
 #include "runtime/machine.h"
 #include "golden_workload.h"
+#include "wide_pattern.h"
 
 namespace presto {
 namespace {
@@ -310,6 +312,56 @@ TEST(ParallelRing64, WorkersMatchSerial) {
   }
 }
 
+// ---- Wide machines ----------------------------------------------------------
+// Scale.WidePatternPins' three patterns at 256 nodes under stache, predictive
+// and ccached, each serially and at 2 and 4 workers. In most of their
+// windows a few of the 256 lanes run (the readers, a home, node 0), so these
+// are the runs that show a boundary which skips a lane's staged sends, gate
+// or drained rings: every counter, the memory hash and the trace digest
+// must match the serial run.
+
+struct WideCase {
+  testutil::WidePattern pattern;
+  ProtocolKind kind;
+};
+
+class ParallelWide256 : public ::testing::TestWithParam<WideCase> {};
+
+TEST_P(ParallelWide256, WorkersMatchSerial) {
+  const WideCase wc = GetParam();
+  const WorkloadResult serial = testutil::run_wide_pattern(
+      wc.pattern, wc.kind, sim::Backend::kFiber, 1, /*traced=*/true);
+  EXPECT_GT(serial.msgs, 0u);
+  for (int workers : {2, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    expect_equal(serial,
+                 testutil::run_wide_pattern(wc.pattern, wc.kind,
+                                            sim::Backend::kParallel, workers,
+                                            /*traced=*/true));
+  }
+}
+
+constexpr WideCase kWideCases[] = {
+    {testutil::WidePattern::kRing, ProtocolKind::kStache},
+    {testutil::WidePattern::kRing, ProtocolKind::kPredictive},
+    {testutil::WidePattern::kRing, ProtocolKind::kCCached},
+    {testutil::WidePattern::kBcast, ProtocolKind::kStache},
+    {testutil::WidePattern::kBcast, ProtocolKind::kPredictive},
+    {testutil::WidePattern::kBcast, ProtocolKind::kCCached},
+    {testutil::WidePattern::kReduce, ProtocolKind::kStache},
+    {testutil::WidePattern::kReduce, ProtocolKind::kPredictive},
+    {testutil::WidePattern::kReduce, ProtocolKind::kCCached},
+};
+
+std::string wide_case_name(const ::testing::TestParamInfo<WideCase>& info) {
+  constexpr const char* kNames[] = {"Ring", "Bcast", "Reduce"};
+  return kNames[static_cast<int>(info.param.pattern)] +
+         protocol_suffix(info.param.kind);
+}
+
+INSTANTIATE_TEST_SUITE_P(Patterns, ParallelWide256,
+                         ::testing::ValuesIn(kWideCases), wide_case_name);
+
 // ---- Backend equivalence ----------------------------------------------------
 // The two backends differ only in which OS thread drains a lane, so every
 // simulated result — including the trace — must match between the serial
@@ -378,19 +430,11 @@ TEST(ParallelSoak, RandomWorkerCountsStayByteIdentical) {
 // canon — if this test ever sees equal digests, the equivalence tier has
 // lost its teeth.
 
-struct ScopedBugHook {
-  explicit ScopedBugHook(const char* name) : name_(name) {
-    check::set_bug_hook(name, true);
-  }
-  ~ScopedBugHook() { check::set_bug_hook(name_, false); }
-  const char* name_;
-};
-
 TEST(ParallelPlantedBug, DelayedWindowFlushIsCaught) {
   const WorkloadResult good = run_serial_windowed(ProtocolKind::kStache, 32);
   WorkloadResult bad;
   {
-    ScopedBugHook hook("delay-window-flush");
+    check::ScopedBugHook hook("delay-window-flush");
     bad = run_parallel(ProtocolKind::kStache, 32, /*workers=*/2);
   }
   // The run completes (the engine's final boundary pass guarantees held

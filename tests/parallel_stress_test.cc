@@ -167,14 +167,6 @@ void expect_equivalent(const WorkloadResult& a, const WorkloadResult& b) {
   EXPECT_EQ(a.trace_digest, b.trace_digest);
 }
 
-struct ScopedBugHook {
-  explicit ScopedBugHook(const char* name) : name_(name) {
-    check::set_bug_hook(name, true);
-  }
-  ~ScopedBugHook() { check::set_bug_hook(name_, false); }
-  const char* name_;
-};
-
 // ---- Escalation engagement --------------------------------------------------
 // At 16 nodes the rotating-writer workload leaves most lanes idle in writer
 // phases and all lanes busy in read phases, so one run crosses the full
@@ -318,7 +310,7 @@ TEST(ParallelPlantedBug, StaleSenseFlagIsCaughtByTraceDigest) {
   const WorkloadResult good = run_burst(sim::Backend::kFiber, 1);
   WorkloadResult bad;
   {
-    ScopedBugHook hook("stale-sense-flag");
+    check::ScopedBugHook hook("stale-sense-flag");
     bad = run_burst(sim::Backend::kParallel, /*workers=*/2);
   }
   // The bug only fires when a helper is actually released.

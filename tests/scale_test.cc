@@ -13,99 +13,21 @@
 #include "golden_workload.h"
 #include "mem/global_space.h"
 #include "runtime/system.h"
+#include "wide_pattern.h"
 
 namespace presto::runtime {
 namespace {
 
-MachineConfig wide(int nodes, std::uint32_t block = 32) {
-  MachineConfig m = MachineConfig::cm5_blizzard(nodes, block);
-  m.mem.page_size = 512;  // spread homes across many nodes
-  return m;
-}
+using testutil::run_wide_pattern;
+using testutil::WidePattern;
+using testutil::wide_machine;
 
 std::size_t metadata_bytes(System& sys) {
   return sys.protocol().metadata_bytes() + sys.network().metadata_bytes();
 }
 
-// bench/scale_sweep's three patterns, short: 256 nodes, 32-byte blocks,
-// 3 rounds, phase directives around each half-round. 32 readers spread
-// across the machine (every 8th node) make every widely-shared directory
-// entry and schedule entry spill past the inline word.
-//   ring   — every node writes its own block, reads its two ring
-//            predecessors' blocks, and the readers read node 0's hot block;
-//   bcast  — node 0 rewrites a 16-block region the readers then read;
-//   reduce — every node adds into a 16-block commutative region homed on
-//            node 0, flushes, and the readers read the totals.
-enum class Pattern { kRing, kBcast, kReduce };
-constexpr const char* kPatternNames[] = {"ring", "bcast", "reduce"};
-
-testutil::WorkloadResult run_wide_pattern(Pattern pat, ProtocolKind kind) {
-  constexpr int kNodes = 256;
-  constexpr int kRounds = 3;
-  constexpr int kRegion = 16;           // blocks in bcast/reduce's region
-  constexpr int kStride = kNodes / 32;  // every kStride-th node reads
-  constexpr std::uint32_t kBlock = 32;
-  const MachineConfig m = wide(kNodes, kBlock);
-  System sys(m, kind);
-  const std::uint32_t bpp = m.mem.page_size / kBlock;
-  const mem::Addr ring =
-      pat == Pattern::kRing
-          ? sys.space().alloc(kNodes * kBlock,
-                              [&](mem::PageId p) {
-                                return static_cast<int>((p * bpp) % kNodes);
-                              })
-          : 0;
-  const mem::Addr hot = sys.space().alloc_on_node(
-      0, (pat == Pattern::kRing ? 1 : kRegion) * kBlock);
-  if (pat == Pattern::kReduce)
-    sys.space().set_commutative(hot, kRegion * kBlock);
-  const auto blk = [&](mem::Addr base, int i) {
-    return base + static_cast<mem::Addr>(i) * kBlock;
-  };
-  sys.run([&](NodeCtx& c) {
-    const int id = c.id();
-    const bool reader = id % kStride == 1;
-    for (int r = 0; r < kRounds; ++r) {
-      c.phase(0);
-      if (pat == Pattern::kRing) {
-        c.write<int>(blk(ring, id), r * kNodes + id);
-        if (id == 0) c.write<int>(hot, r + 1);
-      } else if (pat == Pattern::kBcast) {
-        if (id == 0)
-          for (int b = 0; b < kRegion; ++b)
-            c.write<int>(blk(hot, b), r * 100 + b);
-      } else {
-        for (int b = 0; b < kRegion; ++b) c.cc_add(blk(hot, b), 1);
-        c.cc_flush();
-      }
-      c.barrier();
-      c.phase(1);
-      if (pat == Pattern::kRing) {
-        for (int d = 1; d <= 2; ++d) {
-          const int src = (id + kNodes - d) % kNodes;
-          EXPECT_EQ(c.read<int>(blk(ring, src)), r * kNodes + src);
-        }
-        if (reader) {
-          EXPECT_EQ(c.read<int>(hot), r + 1);
-        }
-      } else if (reader) {
-        for (int b = 0; b < kRegion; ++b) {
-          if (pat == Pattern::kBcast) {
-            EXPECT_EQ(c.read<int>(blk(hot, b)), r * 100 + b);
-          } else {
-            EXPECT_EQ(c.read<std::int64_t>(blk(hot, b)),
-                      std::int64_t{r + 1} * kNodes);
-          }
-        }
-      }
-      c.barrier();
-    }
-  });
-  return testutil::collect_result(sys);
-}
-
 struct WidePin {
-  Pattern pattern;
+  WidePattern pattern;
   ProtocolKind kind;
   sim::Time exec;
   std::uint64_t msgs, bytes, faults, presend_blocks, mem_hash;
@@ -115,29 +37,30 @@ struct WidePin {
 // the exact one; its deletion moved none of them (CHANGES.md). Any drift
 // means the simulated behaviour of a wide machine changed.
 constexpr WidePin kWidePins[] = {
-    {Pattern::kRing, ProtocolKind::kStache,
+    {WidePattern::kRing, ProtocolKind::kStache,
      6899160, 8354ull, 231968ull, 2386ull, 0ull, 0xf56f1b2564c9b90full},
-    {Pattern::kRing, ProtocolKind::kPredictive,
+    {WidePattern::kRing, ProtocolKind::kPredictive,
      6378920, 6449ull, 201488ull, 801ull, 1568ull, 0xf56f1b2564c9b90full},
-    {Pattern::kRing, ProtocolKind::kCCached,
+    {WidePattern::kRing, ProtocolKind::kCCached,
      6899160, 8354ull, 231968ull, 2386ull, 0ull, 0xf56f1b2564c9b90full},
-    {Pattern::kBcast, ProtocolKind::kStache,
+    {WidePattern::kBcast, ProtocolKind::kStache,
      42169660, 5152ull, 131584ull, 1568ull, 0ull, 0xcaf478af5d54a0c3ull},
-    {Pattern::kBcast, ProtocolKind::kPredictive,
+    {WidePattern::kBcast, ProtocolKind::kPredictive,
      19117460, 2256ull, 85248ull, 528ull, 1024ull, 0xcaf478af5d54a0c3ull},
-    {Pattern::kBcast, ProtocolKind::kCCached,
+    {WidePattern::kBcast, ProtocolKind::kCCached,
      42169660, 5152ull, 131584ull, 1568ull, 0ull, 0xcaf478af5d54a0c3ull},
-    {Pattern::kReduce, ProtocolKind::kStache,
+    {WidePattern::kReduce, ProtocolKind::kStache,
      409836980, 54176ull, 1699328ull, 13808ull, 0ull, 0x448c36a87173ddf3ull},
-    {Pattern::kReduce, ProtocolKind::kPredictive,
+    {WidePattern::kReduce, ProtocolKind::kPredictive,
      395048660, 52256ull, 1668608ull, 12784ull, 1024ull, 0x448c36a87173ddf3ull},
-    {Pattern::kReduce, ProtocolKind::kCCached,
+    {WidePattern::kReduce, ProtocolKind::kCCached,
      225614460, 29696ull, 720896ull, 1536ull, 0ull, 0xfafeaa1e61bf6863ull},
 };
 
 TEST(Scale, WidePatternPins) {
   for (const WidePin& pin : kWidePins) {
-    SCOPED_TRACE(std::string(kPatternNames[static_cast<int>(pin.pattern)]) +
+    const int pattern = static_cast<int>(pin.pattern);
+    SCOPED_TRACE(std::string(testutil::kWidePatternNames[pattern]) +
                  " under " + protocol_kind_name(pin.kind));
     const testutil::WorkloadResult r = run_wide_pattern(pin.pattern, pin.kind);
     std::uint64_t presend = 0;
@@ -167,7 +90,7 @@ TEST(Scale, Stache256NodeInvalidateSpilledSharers) {
   // Readers on both sides of the 64-node boundary cache the home's block;
   // the next write must invalidate every one of them through the spilled
   // directory entry.
-  System sys(wide(256), ProtocolKind::kStache);
+  System sys(wide_machine(256), ProtocolKind::kStache);
   const auto a = sys.space().alloc_on_node(0, 64);
   sys.run([&](NodeCtx& c) {
     if (c.id() == 0) c.write<int>(a, 1);
@@ -190,7 +113,7 @@ TEST(Scale, Stache256NodeInvalidateSpilledSharers) {
 TEST(Scale, Predictive256NodeIterativePresend) {
   // Iterative producer/consumer at 256 nodes: after the priming round the
   // predictive protocol presends to consumers in the spill range.
-  System sys(wide(256), ProtocolKind::kPredictive);
+  System sys(wide_machine(256), ProtocolKind::kPredictive);
   const auto a = sys.space().alloc_on_node(0, 64);
   sys.run([&](NodeCtx& c) {
     for (int it = 0; it < 4; ++it) {
@@ -216,7 +139,7 @@ TEST(Scale, Stache256NodeEveryNodeReadsOneBlock) {
   // All 256 nodes read one block for 3 rounds: its directory entry lists
   // 255 sharers, spilled past the inline word, and every rewrite
   // invalidates all of them.
-  System sys(wide(256), ProtocolKind::kStache);
+  System sys(wide_machine(256), ProtocolKind::kStache);
   const auto a = sys.space().alloc_on_node(0, 64);
   long long sum = 0;
   sys.run([&](NodeCtx& c) {
@@ -239,7 +162,7 @@ TEST(Scale, MetadataStaysSubQuadraticIn1024NodeRun) {
   // its protocol+network metadata must scale with nodes and touched blocks,
   // not nodes^2. The pre-PR dense channel table alone was
   // nodes^2 * sizeof(Channel) >= 1M entries; stay far under that.
-  System sys(wide(1024), ProtocolKind::kStache);
+  System sys(wide_machine(1024), ProtocolKind::kStache);
   const auto a = sys.space().alloc_on_node(0, 256);
   sys.run([&](NodeCtx& c) {
     if (c.id() == 0)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <ostream>
 #include <vector>
@@ -52,6 +53,78 @@ TEST(Engine, NestedSchedulingFromEvents) {
   e.run();
   EXPECT_EQ(depth, 5);
   EXPECT_EQ(e.now(), 28);
+}
+
+// Posted (handler, object) events, scheduled closures and events under keys
+// from reserve_key share one sequence per lane, so at equal times they run in
+// exactly the order they were posted, scheduled or reserved, on a bare
+// engine and on a windowed lane.
+TEST(Engine, PostedEventsAndClosuresRunInOneKeyOrder) {
+  struct Mark {
+    std::vector<int>* log;
+    int id;
+  };
+  const Engine::EventFn record = [](void* m) {
+    auto* mark = static_cast<Mark*>(m);
+    mark->log->push_back(mark->id);
+  };
+  for (const bool windowed : {false, true}) {
+    SCOPED_TRACE(windowed ? "windowed" : "bare");
+    Engine e;
+    if (windowed) e.enable_windows(/*window=*/10, /*lanes=*/4, /*workers=*/1);
+    const int lane = e.lane_of(2);
+    std::vector<int> log;
+    Mark m1{&log, 1}, m3{&log, 3}, m4{&log, 4}, m6{&log, 6}, m8{&log, 8};
+    e.schedule_on(lane, 7, [&] { log.push_back(5); });  // first at t 7
+    const Engine::EventKey k3 = e.reserve_key(lane, 5);
+    e.post(lane, 5, record, &m1);
+    e.schedule_on(lane, 5, [&] { log.push_back(2); });
+    e.post_key(lane, k3, record, &m3);  // reserved before 1 and 2: first
+    const Engine::EventKey k4 = e.reserve_key(lane, 7);
+    e.schedule_key(lane, k4, [&] { log.push_back(-4); });
+    e.post(lane, 7, record, &m4);
+    e.schedule_on(lane, 3, [&, lane] {
+      // From inside an event: a key still orders by its reservation.
+      const Engine::EventKey k8 = e.reserve_key(lane, 9);
+      e.schedule_on(lane, 9, [&] { log.push_back(7); });
+      e.post_key(lane, k8, record, &m8);
+      e.post(lane, 1, record, &m6);  // in the past: clamped to t 3
+    });
+    e.run();
+    EXPECT_EQ(log, (std::vector<int>{6, 3, 1, 2, 5, -4, 4, 8, 7}));
+    EXPECT_EQ(e.events_executed(), 10u);
+    EXPECT_EQ(e.lane_now(lane), 9);
+  }
+}
+
+// A closure leaves its slot before it runs, so one it schedules from its
+// own body on the same lane takes that very slot: the running closure's
+// captures must survive it, on a bare engine and on a windowed lane.
+TEST(Engine, ClosureSchedulingAClosureKeepsItsOwnCaptures) {
+  struct Payload {
+    std::uint64_t a, b, c, d;
+    std::uint64_t sum() const { return a + b + c + d; }
+  };
+  for (const bool windowed : {false, true}) {
+    SCOPED_TRACE(windowed ? "windowed" : "bare");
+    Engine e;
+    if (windowed) e.enable_windows(/*window=*/10, /*lanes=*/4, /*workers=*/1);
+    const int lane = e.lane_of(3);
+    std::vector<std::uint64_t> seen;
+    e.schedule_on(lane, 5, [&, p = Payload{1, 2, 3, 4}] {
+      e.schedule_on(lane, 5, [&, q = Payload{10, 20, 30, 40}] {
+        seen.push_back(q.sum());
+        e.schedule_on(lane, 6, [&, r = Payload{100, 0, 0, 0}] {
+          seen.push_back(r.sum());
+        });
+        seen.push_back(q.sum());
+      });
+      seen.push_back(p.sum());
+    });
+    e.run();
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{10, 100, 100, 100}));
+    EXPECT_EQ(e.events_executed(), 3u);
+  }
 }
 
 TEST(Processor, ChargeAdvancesLocalClock) {

@@ -1,8 +1,12 @@
 // Write-update protocol edge cases beyond the basics in predictive_test.cc:
-// range-filtered publish, multi-writer forwarding, upgrade-in-place, and
-// traffic accounting.
+// range-filtered publish, multi-writer forwarding, upgrade-in-place,
+// traffic accounting, and a reader set that spills past 64 nodes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "check/bughook.h"
+#include "check/oracle.h"
 #include "runtime/system.h"
 
 namespace presto::runtime {
@@ -127,6 +131,50 @@ TEST(WriteUpdate, RepublishingUnchangedDataIsIdempotent) {
       c.barrier();
     }
   });
+}
+
+// Nodes 63 and 127 of a 128-node machine read a block homed on node 0, so
+// the home's reader set spills past the NodeSet's inline word. Node 127
+// writes and publishes the block, and the home forwards it to its readers
+// without the writer: clearing 127 from {63, 127} empties the spill array,
+// which is where the drop-spill-sharer plant also loses reader 63. Returns
+// the value node 63 then reads and the oracle's violation count.
+struct SpillShrinkRun {
+  int read_by_63;
+  std::uint64_t violations;
+};
+
+SpillShrinkRun run_spill_shrink() {
+  MachineConfig m = MachineConfig::cm5_blizzard(128, 32);
+  m.mem.page_size = 256;
+  System sys(m, ProtocolKind::kWriteUpdate);
+  check::Oracle& oracle = sys.enable_oracle(check::FailMode::kRecord);
+  oracle.set_strict_reads(true);  // write -> publish -> barrier -> read
+  const mem::Addr a = sys.space().alloc_on_node(0, 32);
+  int read_by_63 = -1;
+  sys.run([&](NodeCtx& c) {
+    if (c.id() == 63 || c.id() == 127) c.read<int>(a);
+    c.barrier();
+    if (c.id() == 127) {
+      c.write<int>(a, 7);
+      c.publish(a, 32);
+    }
+    c.barrier();
+    if (c.id() == 63) read_by_63 = c.read<int>(a);
+  });
+  return {read_by_63, oracle.violation_count()};
+}
+
+TEST(WriteUpdate, SpilledReaderSetSurvivesTheWritersRemoval) {
+  const SpillShrinkRun clean = run_spill_shrink();
+  EXPECT_EQ(clean.read_by_63, 7);
+  EXPECT_EQ(clean.violations, 0u);
+  // The planted shrink bug drops reader 63, whose copy goes stale: the
+  // oracle must see it.
+  check::ScopedBugHook hook("drop-spill-sharer");
+  const SpillShrinkRun planted = run_spill_shrink();
+  EXPECT_EQ(planted.read_by_63, 0);
+  EXPECT_GT(planted.violations, 0u);
 }
 
 }  // namespace
